@@ -12,6 +12,7 @@ from repro.core.global_place import GlobalPlacer, GlobalPlaceResult
 from repro.core.multilevel import build_levels, multilevel_place
 from repro.core.convergence import (
     ConvergenceMonitor,
+    GpLoopState,
     IterationStatus,
     PlacerSnapshot,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "build_levels",
     "multilevel_place",
     "ConvergenceMonitor",
+    "GpLoopState",
     "IterationStatus",
     "PlacerSnapshot",
     "placement_summary",

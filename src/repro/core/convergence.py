@@ -5,7 +5,7 @@ outrun the wirelength term and Nesterov's momentum amplifies the blow-up,
 while a single non-finite gradient poisons every subsequent iterate.  The
 TCAD extension of DREAMPlace (and DG-RePlAce) treat divergence detection
 and recovery as first-class parts of a production placer; this module
-provides the two building blocks:
+provides the building blocks:
 
 - :class:`ConvergenceMonitor` classifies every iteration as improving /
   plateau / diverging / non-finite from rolling HPWL and overflow
@@ -14,6 +14,9 @@ provides the two building blocks:
   (positions, optimizer internals, density weight, gamma), captured at
   the best iterate seen so far and restored on rollback so the loop
   never hands back a worse answer than it computed.
+- :class:`GpLoopState` is everything one ``GlobalPlacer.place()`` call
+  mutates — the snapshots, the monitor, the traces and the live
+  optimizer — with the ``state_dict()`` that checkpoint files hold.
 """
 
 from __future__ import annotations
@@ -70,30 +73,12 @@ class PlacerSnapshot:
 
 def snapshot_state_dict(snap: PlacerSnapshot) -> dict:
     """Serializable copy of a :class:`PlacerSnapshot` (checkpoint files)."""
-    return {
-        "iteration": snap.iteration,
-        "hpwl": snap.hpwl,
-        "overflow": snap.overflow,
-        "pos": snap.pos.copy(),
-        "optimizer_state": snap.optimizer_state,
-        "weight_state": snap.weight_state,
-        "scheduler_state": snap.scheduler_state,
-        "gamma": snap.gamma,
-    }
+    return {**vars(snap), "pos": snap.pos.copy()}
 
 
 def snapshot_from_state(state: dict) -> PlacerSnapshot:
     """Rebuild a :class:`PlacerSnapshot` from :func:`snapshot_state_dict`."""
-    return PlacerSnapshot(
-        iteration=int(state["iteration"]),
-        hpwl=float(state["hpwl"]),
-        overflow=float(state["overflow"]),
-        pos=state["pos"].copy(),
-        optimizer_state=state["optimizer_state"],
-        weight_state=state["weight_state"],
-        scheduler_state=state["scheduler_state"],
-        gamma=float(state["gamma"]),
-    )
+    return PlacerSnapshot(**{**state, "pos": state["pos"].copy()})
 
 
 @dataclass
@@ -128,6 +113,18 @@ class ConvergenceMonitor:
     _best_key_overflow: float = field(default=math.inf, repr=False)
     _best_key_hpwl: float = field(default=math.inf, repr=False)
     _best_wl_hpwl: float = field(default=math.inf, repr=False)
+
+    @classmethod
+    def from_params(cls, params, stop_overflow: Optional[float] = None
+                    ) -> "ConvergenceMonitor":
+        """The monitor a ``PlacementParams`` asks for."""
+        return cls(
+            divergence_ratio=params.divergence_ratio,
+            plateau_patience=params.plateau_patience,
+            overflow_tol=params.overflow_improve_tol,
+            stop_overflow=(params.stop_overflow if stop_overflow is None
+                           else stop_overflow),
+        )
 
     # ------------------------------------------------------------------
     def observe(self, iteration: int, hpwl: float, overflow: float,
@@ -242,3 +239,76 @@ class ConvergenceMonitor:
         self._best_key_overflow = math.inf
         self._best_key_hpwl = math.inf
         self._best_wl_hpwl = math.inf
+
+
+@dataclass
+class GpLoopState:
+    """Everything one ``place()`` call mutates, in one object.
+
+    The live parts a step advances (positions, objective, optimizer,
+    LR scheduler, density weight, convergence monitor) sit next to the
+    loop's own bookkeeping; :meth:`state_dict` serializes all of it
+    and :meth:`load_state_dict` restores it *into* the live parts, so
+    a resumed loop continues bit-exactly at ``iteration + 1``.
+    """
+
+    pos: object  # nn.Parameter holding the extended position vector
+    objective: object  # PlacementObjective (owns gamma and lambda)
+    optimizer: object
+    scheduler: Optional[object]
+    weight: object  # DensityWeight
+    monitor: ConvergenceMonitor
+    #: last completed iteration (0: only the initial state was seen)
+    iteration: int = 0
+    hpwl: float = math.nan
+    overflow: float = math.nan
+    hpwl_trace: list[float] = field(default_factory=list)
+    overflow_trace: list[float] = field(default_factory=list)
+    best_hpwl: float = math.inf
+    recoveries: int = 0
+    #: rollback target: best (overflow-then-wirelength) iterate
+    best_snap: Optional[PlacerSnapshot] = None
+    #: positions-only lowest-wirelength iterate
+    best_wl_snap: Optional[PlacerSnapshot] = None
+
+    def state_dict(self) -> dict:
+        scheduler = self.scheduler
+        return {
+            "iteration": self.iteration,
+            "hpwl": self.hpwl,
+            "overflow": self.overflow,
+            "pos": self.pos.data.copy(),
+            "gamma": self.objective.gamma,
+            "density_weight": self.objective.density_weight,
+            "optimizer": self.optimizer.state_dict(),
+            "scheduler": None if scheduler is None else scheduler.state_dict(),
+            "weight": self.weight.state_dict(),
+            "monitor": self.monitor.state_dict(),
+            "best_snap": snapshot_state_dict(self.best_snap),
+            "best_wl_snap": snapshot_state_dict(self.best_wl_snap),
+            "hpwl_trace": list(self.hpwl_trace),
+            "overflow_trace": list(self.overflow_trace),
+            "best_hpwl": self.best_hpwl,
+            "recoveries": self.recoveries,
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        self.pos.data = np.asarray(
+            state["pos"], dtype=self.pos.data.dtype
+        ).copy()
+        self.optimizer.load_state_dict(state["optimizer"])
+        if self.scheduler is not None and state["scheduler"] is not None:
+            self.scheduler.load_state_dict(state["scheduler"])
+        self.weight.load_state_dict(state["weight"])
+        self.monitor.load_state_dict(state["monitor"])
+        self.objective.gamma = float(state["gamma"])
+        self.objective.density_weight = float(state["density_weight"])
+        self.iteration = int(state["iteration"])
+        self.hpwl = float(state["hpwl"])
+        self.overflow = float(state["overflow"])
+        self.hpwl_trace = list(state["hpwl_trace"])
+        self.overflow_trace = list(state["overflow_trace"])
+        self.best_hpwl = float(state["best_hpwl"])
+        self.recoveries = int(state["recoveries"])
+        self.best_snap = snapshot_from_state(state["best_snap"])
+        self.best_wl_snap = snapshot_from_state(state["best_wl_snap"])

@@ -15,10 +15,9 @@ import numpy as np
 
 from repro.core.convergence import (
     ConvergenceMonitor,
+    GpLoopState,
     IterationStatus,
     PlacerSnapshot,
-    snapshot_from_state,
-    snapshot_state_dict,
 )
 from repro.core.density_weight import DensityWeight
 from repro.core.gamma import GammaScheduler
@@ -107,10 +106,9 @@ class GlobalPlacer:
         # rebind()/reset_momentum() instead of silently rebuilding
         self._optimizer = None
         self._scheduler = None
-        # live references into the running place() loop; set per
-        # iteration so capture_loop_state() (checkpointing) can reach
-        # every piece of loop state from an on_iteration callback
-        self._loop_ctx: dict | None = None
+        # the running place() loop's state, so capture_loop_state()
+        # (checkpointing) can reach it from an on_iteration callback
+        self._loop: GpLoopState | None = None
         # captured objective tape (repro.nn.tape): recorded on the first
         # closure evaluation of a place() call, replayed afterwards, and
         # dropped on every structural event (rollback, warm restart,
@@ -118,8 +116,8 @@ class GlobalPlacer:
         self._tape = None
         self._capture_ok = True
         #: extra keys folded into every capture_loop_state() dict; the
-        #: multilevel cascade driver stores its active level here so a
-        #: checkpoint taken mid-cascade records where to resume
+        #: round driver stores its active round here so a checkpoint
+        #: taken mid-schedule records where to resume
         self.checkpoint_extra: dict = {}
 
     # ------------------------------------------------------------------
@@ -277,13 +275,16 @@ class GlobalPlacer:
                 workspace=self.ws if self.params.workspace_pooling else None,
             )
 
-    def _init_density_weight(self) -> DensityWeight:
-        weight = DensityWeight(
+    def _density_weight(self) -> DensityWeight:
+        return DensityWeight(
             mu_min=self.params.mu_min,
             mu_max=self.params.mu_max,
             ref_delta_hpwl=self.params.ref_delta_hpwl,
             tcad_tweak=self.params.tcad_mu_tweak,
         )
+
+    def _init_density_weight(self) -> DensityWeight:
+        weight = self._density_weight()
         self.pos.zero_grad()
         wl = self.objective.wirelength(self.pos)
         wl.backward()
@@ -339,71 +340,19 @@ class GlobalPlacer:
         """Serializable snapshot of the *entire* GP loop state.
 
         Unlike :class:`PlacerSnapshot` (the in-memory rollback target)
-        this also carries the convergence monitor, the traces, the best
-        checkpoints and the recovery budget, so a killed run restarted
-        from this dict via ``place(resume_state=...)`` replays the
-        remaining iterations bit-exactly.  Only valid while ``place()``
-        is running — call it from an ``on_iteration`` callback.
+        this is the full :class:`GpLoopState` plus ``checkpoint_extra``
+        (where the round driver records the active round), so a killed
+        run restarted from this dict via ``place(resume_state=...)``
+        replays the remaining iterations bit-exactly.  Only valid while
+        ``place()`` is running — call it from an ``on_iteration``
+        callback.
         """
-        ctx = self._loop_ctx
-        if ctx is None:
+        if self._loop is None:
             raise RuntimeError(
                 "capture_loop_state() is only valid inside place(); "
                 "call it from an on_iteration callback"
             )
-        scheduler = ctx["scheduler"]
-        state = dict(self.checkpoint_extra)
-        state.update({
-            "iteration": ctx["iteration"],
-            "hpwl": ctx["hpwl"],
-            "overflow": ctx["overflow"],
-            "pos": self.pos.data.copy(),
-            "gamma": self.objective.gamma,
-            "density_weight": self.objective.density_weight,
-            "optimizer": ctx["optimizer"].state_dict(),
-            "scheduler": None if scheduler is None else scheduler.state_dict(),
-            "weight": ctx["weight"].state_dict(),
-            "monitor": ctx["monitor"].state_dict(),
-            "best_snap": snapshot_state_dict(ctx["best_snap"]),
-            "best_wl_snap": snapshot_state_dict(ctx["best_wl_snap"]),
-            "hpwl_trace": list(ctx["hpwl_trace"]),
-            "overflow_trace": list(ctx["overflow_trace"]),
-            "best_hpwl": ctx["best_hpwl"],
-            "recoveries": ctx["recoveries"],
-        })
-        return state
-
-    def _restore_loop_state(self, state: dict, monitor: ConvergenceMonitor):
-        """Rebuild every loop variable from :meth:`capture_loop_state`."""
-        self.invalidate_tape()
-        params = self.params
-        if self._optimizer is None:
-            self._optimizer, self._scheduler = self._build_optimizer()
-        optimizer, scheduler = self._optimizer, self._scheduler
-        self.pos.data = np.asarray(
-            state["pos"], dtype=params.np_dtype()
-        ).copy()
-        optimizer.load_state_dict(state["optimizer"])
-        if scheduler is not None and state["scheduler"] is not None:
-            scheduler.load_state_dict(state["scheduler"])
-        weight = DensityWeight(
-            mu_min=params.mu_min, mu_max=params.mu_max,
-            ref_delta_hpwl=params.ref_delta_hpwl,
-            tcad_tweak=params.tcad_mu_tweak,
-        )
-        weight.load_state_dict(state["weight"])
-        monitor.load_state_dict(state["monitor"])
-        self.objective.gamma = float(state["gamma"])
-        self.objective.density_weight = float(state["density_weight"])
-        return (
-            optimizer, scheduler, weight,
-            float(state["hpwl"]), float(state["overflow"]),
-            list(state["hpwl_trace"]), list(state["overflow_trace"]),
-            float(state["best_hpwl"]), int(state["recoveries"]),
-            snapshot_from_state(state["best_snap"]),
-            snapshot_from_state(state["best_wl_snap"]),
-            int(state["iteration"]) + 1,
-        )
+        return {**self.checkpoint_extra, **self._loop.state_dict()}
 
     # ------------------------------------------------------------------
     def place(self, max_iters: int | None = None,
@@ -435,59 +384,95 @@ class GlobalPlacer:
         max_iters = params.max_global_iters if max_iters is None else max_iters
         stop = params.stop_overflow if stop_overflow is None else stop_overflow
         start = time.perf_counter()
+        loop = self._loop = self._begin(stop, monitor, resume_state)
+        closure = self._make_closure()
+        converged = diverged = False
 
+        for iteration in range(loop.iteration + 1, max_iters + 1):
+            with trace_span("gp.iteration", iteration=iteration) as span:
+                loop.iteration = iteration
+                loss = self._step(loop, closure)
+                status = self._measure(loop, loss, span)
+                rollback = status is IterationStatus.NON_FINITE or (
+                    status is IterationStatus.DIVERGING
+                    and iteration > params.min_global_iters
+                )
+                if rollback:
+                    if not self._recover(loop, status):
+                        diverged = True
+                        break
+                else:
+                    self._schedule(loop)
+                # the hook runs after the rollback or the gamma/lambda
+                # updates, so a checkpoint captured in it resumes
+                # directly into the next iteration
+                if on_iteration is not None:
+                    on_iteration(self, {
+                        "iteration": iteration, "hpwl": loop.hpwl,
+                        "overflow": loop.overflow, "status": status.value,
+                        "recoveries": loop.recoveries,
+                    })
+                if rollback:
+                    continue
+                if iteration >= params.min_global_iters:
+                    if loop.overflow <= stop:
+                        converged = True
+                        break
+                    # plateau guard: overflow stopped improving well
+                    # above the target — further lambda growth only
+                    # degrades wirelength
+                    if loop.monitor.plateau_exceeded:
+                        break
+
+        return self._finish(loop, stop, converged, diverged, start)
+
+    def _begin(self, stop: float, monitor: ConvergenceMonitor | None,
+               resume_state: dict | None) -> GpLoopState:
+        """Loop state for a cold start, a warm restart or a resume."""
         if monitor is None:
-            monitor = ConvergenceMonitor(
-                divergence_ratio=params.divergence_ratio,
-                plateau_patience=params.plateau_patience,
-                overflow_tol=params.overflow_improve_tol,
-                stop_overflow=stop,
-            )
+            monitor = ConvergenceMonitor.from_params(self.params, stop)
         elif resume_state is None:
             monitor.new_round(stop_overflow=stop)
-
-        if resume_state is not None:
-            (optimizer, scheduler, weight, hpwl, overflow,
-             hpwl_trace, overflow_trace, best_hpwl, recoveries,
-             best_snap, best_wl_snap, first_iter) = \
-                self._restore_loop_state(resume_state, monitor)
-        else:
-            overflow = self.overflow()
-            self.objective.gamma = self.gamma_schedule(overflow)
-            weight = self._init_density_weight()
-            self.objective.density_weight = weight.value
-            if self._optimizer is None:
-                self._optimizer, self._scheduler = self._build_optimizer()
-            else:
-                # warm restart: positions may have moved externally since
-                # the last round (inflation, set_positions), so drop
-                # value-derived caches and restart the momentum sequence
-                self._optimizer.rebind()
-                self._optimizer.reset_momentum()
-            optimizer, scheduler = self._optimizer, self._scheduler
-
-            hpwl_trace = []
-            overflow_trace = []
-            best_hpwl = math.inf
-            recoveries = 0
-
-            # iteration-0 checkpoint: there is always a sane state to
-            # return or roll back to, even if the first step blows up
-            hpwl = self.hpwl()
-            monitor.observe(0, hpwl, overflow)
-            best_snap = self._capture_snapshot(0, hpwl, overflow,
-                                               optimizer, scheduler, weight)
-            # lightweight best-wirelength fallback (positions only):
-            # what a diverged run hands back when no checkpoint can be
-            # trusted
-            best_wl_snap = PlacerSnapshot(0, hpwl, overflow, best_snap.pos)
-            first_iter = 1
-
         self.invalidate_tape()
+        warm = self._optimizer is not None
+        if not warm:
+            self._optimizer, self._scheduler = self._build_optimizer()
+        loop = GpLoopState(self.pos, self.objective, self._optimizer,
+                           self._scheduler, self._density_weight(), monitor)
+        if resume_state is not None:
+            loop.load_state_dict(resume_state)
+            return loop
+
+        loop.overflow = self.overflow()
+        self.objective.gamma = self.gamma_schedule(loop.overflow)
+        loop.weight = self._init_density_weight()
+        self.objective.density_weight = loop.weight.value
+        if warm:
+            # positions may have moved externally since the last round
+            # (inflation, set_positions), so drop value-derived caches
+            # and restart the momentum sequence
+            self._optimizer.rebind()
+            self._optimizer.reset_momentum()
+        # iteration-0 checkpoint: there is always a sane state to
+        # return or roll back to, even if the first step blows up
+        loop.hpwl = self.hpwl()
+        monitor.observe(0, loop.hpwl, loop.overflow)
+        loop.best_snap = self._capture_snapshot(
+            0, loop.hpwl, loop.overflow, loop.optimizer, loop.scheduler,
+            loop.weight)
+        # lightweight best-wirelength fallback (positions only): what a
+        # diverged run hands back when no checkpoint can be trusted
+        loop.best_wl_snap = PlacerSnapshot(0, loop.hpwl, loop.overflow,
+                                           loop.best_snap.pos)
+        return loop
+
+    def _make_closure(self):
+        """The optimizer closure: replay the captured tape, else run
+        (and, when allowed, capture) the eager forward/backward."""
         # capture freezes the Python control flow of the first forward,
         # so a user-supplied wirelength module (which may branch per
         # call) forces eager evaluation
-        graph_capture = (params.graph_capture
+        graph_capture = (self.params.graph_capture
                          and self.wirelength_factory is None)
 
         def eager_closure():
@@ -521,161 +506,130 @@ class GlobalPlacer:
             self._capture_ok = self._tape is not None
             return loss
 
-        converged = False
-        diverged = False
-        iteration = first_iter - 1
+        return closure
 
-        for iteration in range(first_iter, max_iters + 1):
-            with trace_span("gp.iteration",
-                            iteration=iteration) as _span:
-                with profiled("gp.step"):
-                    loss = optimizer.step(closure)
-                    optimizer.project(self._clamp)
-                    if scheduler is not None:
-                        scheduler.step()
+    def _step(self, loop: GpLoopState, closure):
+        """One optimizer step, projected back into the clamp bounds."""
+        with profiled("gp.step"):
+            loss = loop.optimizer.step(closure)
+            loop.optimizer.project(self._clamp)
+            if loop.scheduler is not None:
+                loop.scheduler.step()
+        return loss
 
-                if np.all(np.isfinite(self.pos.data)):
-                    hpwl = self.hpwl()
-                    overflow = self.overflow()
-                else:
-                    # poisoned step: the overflow scatter would crash casting
-                    # NaN coordinates to bin indices, so skip the metrics and
-                    # let the monitor flag the iterate as non-finite
-                    hpwl = math.nan
-                    overflow = math.nan
-                hpwl_trace.append(hpwl)
-                overflow_trace.append(overflow)
-                if math.isfinite(hpwl):
-                    best_hpwl = min(best_hpwl, hpwl)
+    def _measure(self, loop: GpLoopState, loss, span) -> IterationStatus:
+        """Record the iterate's HPWL/overflow and classify it."""
+        if np.all(np.isfinite(self.pos.data)):
+            loop.hpwl = self.hpwl()
+            loop.overflow = self.overflow()
+        else:
+            # poisoned step: the overflow scatter would crash casting
+            # NaN coordinates to bin indices, so skip the metrics and
+            # let the monitor flag the iterate as non-finite
+            loop.hpwl = loop.overflow = math.nan
+        loop.hpwl_trace.append(loop.hpwl)
+        loop.overflow_trace.append(loop.overflow)
+        if math.isfinite(loop.hpwl):
+            loop.best_hpwl = min(loop.best_hpwl, loop.hpwl)
+        status = loop.monitor.observe(
+            loop.iteration, loop.hpwl, loop.overflow,
+            loss=None if loss is None else float(loss.item()),
+            grad=self.pos.grad, pos=self.pos.data,
+        )
+        if span is not None:
+            # NaN is not valid JSON: non-finite iterates carry their
+            # status, finite ones the actual metrics
+            if math.isfinite(loop.hpwl):
+                span["hpwl"] = loop.hpwl
+                span["overflow"] = loop.overflow
+            span["status"] = status.value
+        return status
 
-                status = monitor.observe(
+    def _recover(self, loop: GpLoopState, status: IterationStatus) -> bool:
+        """Roll back to the best checkpoint with a damped lambda;
+        False once the recovery budget is spent."""
+        params = self.params
+        if not (params.enable_recovery
+                and loop.recoveries < params.max_recoveries):
+            return False
+        snap = loop.best_snap
+        with profiled("gp.rollback"):
+            self._restore_snapshot(
+                snap, loop.optimizer, loop.scheduler, loop.weight,
+                lambda_damping=params.recovery_lambda_damping,
+            )
+        loop.monitor.notify_rollback(snap.hpwl)
+        loop.recoveries += 1
+        # the loop now *is* the restored iterate
+        loop.hpwl, loop.overflow = snap.hpwl, snap.overflow
+        if params.verbose:
+            print(
+                f"[GP] iter {loop.iteration:4d} {status.value}: "
+                f"rolled back to iter {snap.iteration} "
+                f"(hpwl {snap.hpwl:.4e}), lambda {loop.weight.value:.3g}"
+            )
+        return True
+
+    def _schedule(self, loop: GpLoopState) -> None:
+        """Checkpoint an improved iterate, then anneal gamma and update
+        lambda for the next step."""
+        iteration, hpwl, overflow = loop.iteration, loop.hpwl, loop.overflow
+        if loop.monitor.progress_improved:
+            with profiled("gp.snapshot"):
+                loop.best_snap = self._capture_snapshot(
                     iteration, hpwl, overflow,
-                    loss=None if loss is None else float(loss.item()),
-                    grad=self.pos.grad, pos=self.pos.data,
+                    loop.optimizer, loop.scheduler, loop.weight,
                 )
-                if _span is not None:
-                    # NaN is not valid JSON: non-finite iterates carry
-                    # their status, finite ones the actual metrics
-                    if math.isfinite(hpwl):
-                        _span["hpwl"] = hpwl
-                        _span["overflow"] = overflow
-                    _span["status"] = status.value
-                if status is IterationStatus.NON_FINITE or (
-                    status is IterationStatus.DIVERGING
-                    and iteration > params.min_global_iters
-                ):
-                    if (params.enable_recovery
-                            and recoveries < params.max_recoveries):
-                        with profiled("gp.rollback"):
-                            self._restore_snapshot(
-                                best_snap, optimizer, scheduler, weight,
-                                lambda_damping=params.recovery_lambda_damping,
-                            )
-                        monitor.notify_rollback(best_snap.hpwl)
-                        recoveries += 1
-                        if params.verbose:
-                            print(
-                                f"[GP] iter {iteration:4d} {status.value}: "
-                                f"rolled back to iter {best_snap.iteration} "
-                                f"(hpwl {best_snap.hpwl:.4e}), lambda "
-                                f"{weight.value:.3g}"
-                            )
-                        self._loop_ctx = dict(
-                            iteration=iteration, hpwl=best_snap.hpwl,
-                            overflow=best_snap.overflow, optimizer=optimizer,
-                            scheduler=scheduler, weight=weight, monitor=monitor,
-                            best_snap=best_snap, best_wl_snap=best_wl_snap,
-                            hpwl_trace=hpwl_trace, overflow_trace=overflow_trace,
-                            best_hpwl=best_hpwl, recoveries=recoveries,
-                        )
-                        if on_iteration is not None:
-                            on_iteration(self, {
-                                "iteration": iteration, "hpwl": best_snap.hpwl,
-                                "overflow": best_snap.overflow,
-                                "status": status.value,
-                                "recoveries": recoveries,
-                            })
-                        continue
-                    diverged = True
-                    break
-                if monitor.progress_improved:
-                    with profiled("gp.snapshot"):
-                        best_snap = self._capture_snapshot(
-                            iteration, hpwl, overflow,
-                            optimizer, scheduler, weight,
-                        )
-                if monitor.wirelength_improved:
-                    best_wl_snap = PlacerSnapshot(
-                        iteration, hpwl, overflow, self.pos.data.copy(),
-                    )
+        if loop.monitor.wirelength_improved:
+            loop.best_wl_snap = PlacerSnapshot(
+                iteration, hpwl, overflow, self.pos.data.copy(),
+            )
+        self.objective.gamma = self.gamma_schedule(overflow)
+        if iteration % self.lambda_period == 0:
+            self.objective.density_weight = loop.weight.update(hpwl)
+        if self.params.verbose and iteration % 50 == 0:
+            print(
+                f"[GP] iter {iteration:4d} hpwl {hpwl:.4e} "
+                f"overflow {overflow:.4f} gamma "
+                f"{self.objective.gamma:.3g} lambda {loop.weight.value:.3g}"
+            )
 
-                self.objective.gamma = self.gamma_schedule(overflow)
-                if iteration % self.lambda_period == 0:
-                    self.objective.density_weight = weight.update(hpwl)
-
-                if params.verbose and iteration % 50 == 0:
-                    print(
-                        f"[GP] iter {iteration:4d} hpwl {hpwl:.4e} "
-                        f"overflow {overflow:.4f} gamma "
-                        f"{self.objective.gamma:.3g} lambda {weight.value:.3g}"
-                    )
-                # the loop context is refreshed after the gamma/lambda
-                # updates so a checkpoint captured here resumes directly
-                # into the next iteration
-                self._loop_ctx = dict(
-                    iteration=iteration, hpwl=hpwl, overflow=overflow,
-                    optimizer=optimizer, scheduler=scheduler, weight=weight,
-                    monitor=monitor, best_snap=best_snap,
-                    best_wl_snap=best_wl_snap, hpwl_trace=hpwl_trace,
-                    overflow_trace=overflow_trace, best_hpwl=best_hpwl,
-                    recoveries=recoveries,
-                )
-                if on_iteration is not None:
-                    on_iteration(self, {
-                        "iteration": iteration, "hpwl": hpwl,
-                        "overflow": overflow, "status": status.value,
-                        "recoveries": recoveries,
-                    })
-                if overflow <= stop and iteration >= params.min_global_iters:
-                    converged = True
-                    break
-                # plateau guard: overflow stopped improving well above the
-                # target — further lambda growth only degrades wirelength
-                if monitor.plateau_exceeded and \
-                        iteration >= params.min_global_iters:
-                    break
-
+    def _finish(self, loop: GpLoopState, stop: float, converged: bool,
+                diverged: bool, start: float) -> GlobalPlaceResult:
+        """Pick the positions to hand back and close the loop."""
         # never hand back a worse answer than the best checkpoint: a
         # diverged run falls back to the lowest-wirelength iterate, any
         # other run to the best (overflow-then-wirelength) checkpoint
         final_hpwl = self.hpwl()
+        overflow = loop.overflow
+        best = loop.best_snap
         chosen = None
         if diverged:
-            chosen = best_wl_snap
-        elif (best_snap.hpwl < final_hpwl
-              and best_snap.overflow <= (max(overflow, stop)
-                                         + params.overflow_improve_tol)):
-            chosen = best_snap
+            chosen = loop.best_wl_snap
+        elif (best.hpwl < final_hpwl
+              and best.overflow <= (max(overflow, stop)
+                                    + self.params.overflow_improve_tol)):
+            chosen = best
         if chosen is not None and (diverged or chosen.hpwl < final_hpwl):
             self.pos.data = chosen.pos.copy()
-            optimizer.rebind()
+            loop.optimizer.rebind()
             final_hpwl = self.hpwl()
             overflow = self.overflow()
 
-        self._loop_ctx = None
+        self._loop = None
         x, y = self._positions()
         return GlobalPlaceResult(
             x=x, y=y,
             hpwl=final_hpwl,
             overflow=overflow,
-            iterations=iteration,
+            iterations=loop.iteration,
             runtime=time.perf_counter() - start,
             converged=converged,
-            hpwl_trace=hpwl_trace,
-            overflow_trace=overflow_trace,
+            hpwl_trace=loop.hpwl_trace,
+            overflow_trace=loop.overflow_trace,
             diverged=diverged,
-            recoveries=recoveries,
-            best_hpwl=min(best_hpwl, final_hpwl),
+            recoveries=loop.recoveries,
+            best_hpwl=min(loop.best_hpwl, final_hpwl),
         )
 
     def set_positions(self, x: np.ndarray, y: np.ndarray) -> None:

@@ -22,14 +22,14 @@ patience (``multilevel_coarse_*`` knobs): past that point the coarse
 optimum stops transferring through prolongation, so the budget is
 handed to the finer level instead.
 
-Checkpoint/resume: the driver stamps the active level (and its
-movable-cell count, as a determinism guard) into every
-``capture_loop_state()`` dict via ``GlobalPlacer.checkpoint_extra``.
-Because coarsening is a pure function of the database and parameters,
-resuming rebuilds the identical level stack, restores the checkpointed
-level's loop state, and continues prolonging downward — completed
-coarser levels never replay, their only output (the warm-start
-positions) is already inside the checkpoint.
+The cascade is a *schedule* over the one GP round driver
+(``repro.core.rounds``): :func:`level_rounds` yields one round per
+level and prolongs between them.  Every checkpoint records the active
+level (and its movable-cell count, as a determinism guard); because
+coarsening is a pure function of the database and parameters, resuming
+rebuilds the identical level stack and continues prolonging downward —
+completed coarser levels never replay, their only output (the
+warm-start positions) is already inside the checkpoint.
 
 Each level's GP runs inside a ``gp.level{i}`` trace span/profiler op
 (plus ``gp.coarsen``/``gp.prolong`` for the transfer operators), and
@@ -38,10 +38,13 @@ each ``on_iteration`` info dict gains ``level``/``num_levels`` keys.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from repro.core.global_place import GlobalPlacer, GlobalPlaceResult
+from repro.core.global_place import GlobalPlaceResult
 from repro.core.params import PlacementParams
+from repro.core.rounds import GpRound, run_rounds
 from repro.netlist.coarsen import CoarseLevel, coarsen
 from repro.netlist.database import PlacementDB
 from repro.obs.trace import trace_span
@@ -58,14 +61,15 @@ def build_levels(db: PlacementDB, params: PlacementParams,
     cells or the coarsener stalls, so the stack may be shorter than
     ``multilevel_levels``.
     """
-    from repro.netlist.coarsen import _identity_level
-
-    levels = [_identity_level(db, fences)]
+    levels = [coarsen(db, 1.0, fences=fences)]
     for _ in range(1, max(int(params.multilevel_levels), 1)):
         prev = levels[-1]
         if prev.db.num_movable <= params.multilevel_min_cells:
             break
-        step = coarsen(prev.db, params.coarsen_ratio, fences=prev.fences)
+        with trace_span("gp.coarsen", level=len(levels)), \
+                profiled("gp.coarsen"):
+            step = coarsen(prev.db, params.coarsen_ratio,
+                           fences=prev.fences)
         if step.identity:
             break
         levels.append(step)
@@ -117,6 +121,62 @@ def _level_params(params: PlacementParams, level: int, num_levels: int,
     return p
 
 
+def level_rounds(db: PlacementDB, params: PlacementParams, fences=None,
+                 state: dict | None = None, *,
+                 tagged: bool = True, fine_rounds=None):
+    """The cascade as a round schedule (see ``repro.core.rounds``).
+
+    Yields one :class:`GpRound` per level, coarsest first, prolonging
+    the result sent back onto the next-finer level.  ``tagged=False``
+    is the flat flow: the identity level alone, its round undecorated
+    (no ``level`` keys, no ``gp.level0`` span).  ``fine_rounds(base,
+    state)`` is a sub-schedule that takes over on the finest level with
+    variations of that level's round (routability).  ``state`` is the
+    checkpoint to resume from: the cascade restarts at its level.
+    """
+    levels = build_levels(db, params, fences=fences)
+    level = len(levels) - 1
+    if state is not None:
+        level = int(state.get("multilevel_level", level))
+        if not 0 <= level < len(levels):
+            raise ValueError(
+                f"checkpoint level {level} outside the rebuilt "
+                f"{len(levels)}-level cascade (parameters changed?)"
+            )
+        expect = state.get("multilevel_cells")
+        have = levels[level].db.num_movable
+        if expect is not None and int(expect) != have:
+            raise ValueError(
+                f"checkpoint level {level} had {expect} movable "
+                f"cells, rebuilt level has {have}: the cascade is not "
+                f"the one that was checkpointed"
+            )
+    warm = None
+    while True:
+        stack = levels[level]
+        rnd = GpRound(
+            stack.db,
+            _level_params(params, level, len(levels), stack.db.num_movable),
+            stack.fences, level=level, warm=warm,
+            extra={"multilevel_level": level,
+                   "multilevel_cells": stack.db.num_movable},
+        )
+        if tagged:
+            rnd.tags = {"level": level, "num_levels": len(levels)}
+            rnd.span = f"gp.level{level}"
+        if level == 0:
+            if fine_rounds is None:
+                yield rnd
+            else:
+                yield from fine_rounds(rnd, state)
+            return
+        result = yield rnd
+        state = None  # only the first round issued is a resumed one
+        with trace_span("gp.prolong", level=level), profiled("gp.prolong"):
+            warm = stack.prolong(result.x, result.y)
+        level -= 1
+
+
 def multilevel_place(db: PlacementDB, params: PlacementParams,
                      fences=None, on_iteration=None,
                      resume_state: dict | None = None) -> GlobalPlaceResult:
@@ -128,100 +188,5 @@ def multilevel_place(db: PlacementDB, params: PlacementParams,
     outcomes.  ``resume_state`` must come from a checkpoint captured
     by this driver (it records the active level).
     """
-    with trace_span("gp.coarsen", levels=int(params.multilevel_levels)), \
-            profiled("gp.coarsen"):
-        levels = build_levels(db, params, fences=fences)
-
-    start_level = len(levels) - 1
-    level_resume = None
-    if resume_state is not None:
-        start_level = int(resume_state.get("multilevel_level",
-                                           len(levels) - 1))
-        if not 0 <= start_level < len(levels):
-            raise ValueError(
-                f"checkpoint level {start_level} outside the rebuilt "
-                f"{len(levels)}-level cascade (parameters changed?)"
-            )
-        expect = resume_state.get("multilevel_cells")
-        have = levels[start_level].db.num_movable
-        if expect is not None and int(expect) != have:
-            raise ValueError(
-                f"checkpoint level {start_level} had {expect} movable "
-                f"cells, rebuilt level has {have}: the cascade is not "
-                f"the one that was checkpointed"
-            )
-        level_resume = resume_state
-
-    warm = None
-    # completed-level history rides inside every checkpoint so a
-    # resumed cascade reports the same totals as an uninterrupted one
-    # (already-finished coarse levels are never replayed)
-    total_iterations = 0
-    total_recoveries = 0
-    level_infos = []
-    if level_resume is not None:
-        total_iterations = int(level_resume.get("multilevel_iterations", 0))
-        total_recoveries = int(level_resume.get("multilevel_recoveries", 0))
-        level_infos = [dict(info) for info
-                       in level_resume.get("multilevel_done", [])]
-    result = None
-    for level in range(start_level, -1, -1):
-        stack = levels[level]
-        level_db = stack.db
-        placer = GlobalPlacer(
-            level_db,
-            _level_params(params, level, len(levels),
-                          level_db.num_movable),
-            fences=stack.fences,
-        )
-        placer.checkpoint_extra = {
-            "multilevel_level": level,
-            "multilevel_cells": level_db.num_movable,
-            "multilevel_iterations": total_iterations,
-            "multilevel_recoveries": total_recoveries,
-            "multilevel_done": [dict(info) for info in level_infos],
-        }
-        if warm is not None:
-            placer.set_positions(*warm)
-
-        def hook(placer_, info, _level=level):
-            if on_iteration is not None:
-                info = dict(info)
-                info["level"] = _level
-                info["num_levels"] = len(levels)
-                on_iteration(placer_, info)
-
-        with trace_span(f"gp.level{level}",
-                        cells=level_db.num_movable,
-                        nets=level_db.num_nets,
-                        pins=level_db.num_pins), \
-                profiled(f"gp.level{level}"):
-            result = placer.place(on_iteration=hook,
-                                  resume_state=level_resume)
-        level_resume = None
-        total_iterations += result.iterations
-        total_recoveries += result.recoveries
-        # deterministic fields only: this dict lands in metrics.json,
-        # which the kill/resume machinery compares bit-exactly against
-        # uninterrupted runs (timing lives in the trace spans)
-        level_infos.append({
-            "level": level,
-            "cells": int(level_db.num_movable),
-            "nets": int(level_db.num_nets),
-            "pins": int(level_db.num_pins),
-            "bins": int(placer.grid.nx),
-            "iterations": int(result.iterations),
-            "hpwl": float(result.hpwl),
-            "overflow": float(result.overflow),
-            "converged": bool(result.converged),
-        })
-
-        if level > 0:
-            with trace_span("gp.prolong", level=level), \
-                    profiled("gp.prolong"):
-                warm = stack.prolong(result.x, result.y)
-
-    result.iterations = total_iterations
-    result.recoveries = total_recoveries
-    result.levels = level_infos
-    return result
+    return run_rounds(partial(level_rounds, db, params, fences),
+                      on_iteration=on_iteration, resume_state=resume_state)

@@ -9,15 +9,18 @@ per-stage timing matching the paper's runtime tables.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from repro.core.convergence import ConvergenceMonitor
-from repro.core.global_place import GlobalPlacer
 from repro.core.metrics import scaled_hpwl
+from repro.core.multilevel import level_rounds
 from repro.core.params import PlacementParams
+from repro.core.rounds import GpRound, run_rounds
 from repro.dp.detailed_placer import DetailedPlacer, DetailedPlaceStats
 from repro.lg.checker import LegalityError, LegalityReport, check_legal
 from repro.lg.legalizer import legalize
@@ -38,6 +41,16 @@ class StageTimes:
     def total(self) -> float:
         return (self.global_place + self.global_route
                 + self.legalize + self.detailed)
+
+
+@contextmanager
+def _stage(times: StageTimes, field: str, span_name: str, **attrs):
+    """Run a flow stage under a trace span, adding its wall-clock
+    seconds to ``times.<field>``; yields the span (or ``None``)."""
+    start = time.perf_counter()
+    with trace_span(span_name, **attrs) as span:
+        yield span
+    setattr(times, field, getattr(times, field) + time.perf_counter() - start)
 
 
 @dataclass
@@ -90,6 +103,9 @@ class DreamPlacer:
             self.params.route_tile_capacity
             if self.params.route_tile_capacity > 0 else None
         )
+        #: routability-mode counters of the last run (Table V)
+        self.inflation_rounds = 0
+        self.router_calls = 0
 
     def _check_stage(self, stage: str, x: np.ndarray, y: np.ndarray
                      ) -> LegalityReport:
@@ -110,50 +126,26 @@ class DreamPlacer:
         ``on_iteration(placer, info)`` is forwarded to every GP round
         (see :meth:`GlobalPlacer.place`): the checkpoint/telemetry hook
         of ``repro.runner``.  ``resume_state`` continues an interrupted
-        GP loop from a ``capture_loop_state`` dict; resuming is only
-        supported for the plain (non-routability) flow, where the GP
-        trajectory is a single uninterrupted loop.
+        GP stage from a ``capture_loop_state`` dict, in whichever round
+        (cascade level, inflation step) it was taken.
         """
         params = self.params
         db = self.db
         times = StageTimes()
+        self.inflation_rounds = self.router_calls = 0
 
-        if params.routability:
-            if resume_state is not None:
-                raise ValueError(
-                    "resume is not supported in routability mode: the "
-                    "inflation loop mutates cell sizes between GP rounds"
-                )
-            gp_result, route_info = self._routability_global_place(
-                times, on_iteration=on_iteration,
-            )
-        elif params.multilevel_levels > 1:
-            from repro.core.multilevel import multilevel_place
-
-            start = time.perf_counter()
-            with trace_span("stage.gp",
-                            multilevel=params.multilevel_levels) as span:
-                gp_result = multilevel_place(
-                    db, params, fences=self.fences,
-                    on_iteration=on_iteration, resume_state=resume_state,
-                )
-                if span is not None:
-                    span["iterations"] = gp_result.iterations
-                    span["converged"] = gp_result.converged
-                    span["levels"] = len(gp_result.levels or ())
-            times.global_place = time.perf_counter() - start
-            route_info = None
-        else:
-            start = time.perf_counter()
-            with trace_span("stage.gp") as span:
-                placer = GlobalPlacer(db, params, fences=self.fences)
-                gp_result = placer.place(on_iteration=on_iteration,
-                                         resume_state=resume_state)
-                if span is not None:
-                    span["iterations"] = gp_result.iterations
-                    span["converged"] = gp_result.converged
-            times.global_place = time.perf_counter() - start
-            route_info = None
+        gp_result = run_rounds(
+            partial(
+                level_rounds, db, params, self.fences,
+                tagged=params.multilevel_levels > 1,
+                fine_rounds=(partial(self._inflation_rounds, times)
+                             if params.routability else None),
+            ),
+            on_iteration=on_iteration, resume_state=resume_state,
+        )
+        # routing between inflation rounds ran inside the GP stage but
+        # is reported under GR only
+        times.global_place = gp_result.runtime - times.global_route
 
         x, y = gp_result.x.copy(), gp_result.y.copy()
         hpwl_global = db.hpwl(x, y)
@@ -161,22 +153,18 @@ class DreamPlacer:
         hpwl_legal = hpwl_global
         legality = None
         if params.legalize:
-            start = time.perf_counter()
-            with trace_span("stage.lg"):
+            with _stage(times, "legalize", "stage.lg"):
                 x, y = legalize(db, x, y, fences=self.fences)
-            times.legalize = time.perf_counter() - start
             hpwl_legal = db.hpwl(x, y)
             legality = self._check_stage("legalize", x, y)
 
         hpwl_final = hpwl_legal
         dp_stats = None
         if params.legalize and params.detailed:
-            start = time.perf_counter()
-            with trace_span("stage.dp"):
+            with _stage(times, "detailed", "stage.dp"):
                 dp = DetailedPlacer(db, passes=params.detailed_passes,
                                     fences=self.fences)
                 x, y, dp_stats = dp.run(x, y)
-            times.detailed = time.perf_counter() - start
             hpwl_final = db.hpwl(x, y)
             legality = self._check_stage("detailed", x, y)
 
@@ -184,11 +172,11 @@ class DreamPlacer:
 
         rc = None
         shpwl = None
-        rounds = 0
-        router_calls = 0
-        if route_info is not None:
-            rounds, router_calls = route_info
-            rc, shpwl = self._final_route_metrics(x, y, times)
+        if params.routability:
+            # route the final placement to report RC and sHPWL (Table V)
+            with _stage(times, "global_route", "stage.route", final=True):
+                routing = self._make_router(x, y).route(x, y)
+            rc, shpwl = routing.rc, scaled_hpwl(hpwl_final, routing.rc)
 
         return PlacementResult(
             x=x, y=y,
@@ -202,8 +190,8 @@ class DreamPlacer:
             dp_stats=dp_stats,
             rc=rc,
             shpwl=shpwl,
-            inflation_rounds=rounds,
-            router_calls=router_calls,
+            inflation_rounds=self.inflation_rounds,
+            router_calls=self.router_calls,
             recoveries=gp_result.recoveries,
             diverged=gp_result.diverged,
             best_hpwl=gp_result.best_hpwl,
@@ -211,62 +199,71 @@ class DreamPlacer:
         )
 
     # ------------------------------------------------------------------
-    def _routability_global_place(self, times: StageTimes,
-                                  on_iteration=None):
-        """GP with the cell-inflation loop of Section III-F."""
+    def _inflation_rounds(self, times: StageTimes, base: GpRound,
+                          state: Optional[dict]):
+        """The cell-inflation loop of Section III-F as a round schedule
+        (see ``repro.core.rounds``) on the finest level.
+
+        Every round is ``base`` run down to the inflation trigger
+        overflow; between rounds the placement is routed and congested
+        cells are inflated.  Once an inflation adds too little area (or
+        the round budget is spent) a last round finishes placement to
+        the real target — warm-restarting the same placer when the
+        inflation converged.  ``state`` resumes a checkpointed round.
+        """
         from repro.route.inflation import apply_inflation, inflation_ratio_map
-        from repro.route.router import GlobalRouter
 
         params = self.params
         db = self.db
         original_width = db.cell_width.copy()
         total_cell_area = db.total_movable_area
-        router = None
-        router_calls = 0
-        rounds = 0
-        warm = None
         # one monitor spans every round: plateau/checkpoint references
         # reset per round, the divergence anchor carries across rounds
-        monitor = ConvergenceMonitor(
-            divergence_ratio=params.divergence_ratio,
-            plateau_patience=params.plateau_patience,
-            overflow_tol=params.overflow_improve_tol,
-            stop_overflow=params.stop_overflow,
-        )
-        recoveries = 0
+        monitor = ConvergenceMonitor.from_params(params)
+        finishing = False  # the inflation converged: last round
+        reuse = False  # warm-restart the previous round's placer
+        width = db.cell_width.copy()  # what the next round runs under
+        built_width = width  # what its placer is (or was) built under
+        if state is not None:
+            self.inflation_rounds = int(state["inflation_round"])
+            self.router_calls = int(state["inflation_router_calls"])
+            self._route_capacity = state["inflation_route_capacity"]
+            finishing = bool(state["inflation_finishing"])
+            width = state["inflation_width"]
+            built_width = state["inflation_built_width"]
+            db.cell_width[:] = built_width
+        warm = base.warm
         try:
             while True:
-                placer = GlobalPlacer(db, params, fences=self.fences)
-                if rounds > 0:
-                    placer.lambda_period = params.inflation_lambda_period
-                if warm is not None:
-                    placer.set_positions(*warm)
-                start = time.perf_counter()
-                with trace_span("stage.gp", round=rounds):
-                    if rounds < params.inflation_max_rounds:
-                        # run down to the inflation trigger overflow (20%)
-                        result = placer.place(
-                            stop_overflow=params.inflation_overflow_trigger,
-                            monitor=monitor, on_iteration=on_iteration,
-                        )
-                    else:
-                        result = placer.place(monitor=monitor,
-                                              on_iteration=on_iteration)
-                times.global_place += time.perf_counter() - start
-                recoveries += result.recoveries
-
-                if rounds >= params.inflation_max_rounds:
-                    result.recoveries = recoveries
-                    return result, (rounds, router_calls)
-
-                if router is None:
-                    router = self._make_router(result.x, result.y)
-                start = time.perf_counter()
-                with trace_span("stage.route", round=rounds):
-                    routing = router.route(result.x, result.y)
-                times.global_route += time.perf_counter() - start
-                router_calls += 1
-
+                rounds = self.inflation_rounds
+                more = not finishing and rounds < params.inflation_max_rounds
+                result = yield replace(
+                    base, db=None if reuse else db, cell_width=width,
+                    warm=warm, monitor=monitor,
+                    tags={**base.tags, "round": rounds},
+                    span=base.span or f"gp.round{rounds}",
+                    # run down to the inflation trigger overflow (20%)
+                    stop_overflow=(params.inflation_overflow_trigger
+                                   if more else None),
+                    lambda_period=(params.inflation_lambda_period
+                                   if rounds else 1),
+                    extra={
+                        **base.extra,
+                        "inflation_round": rounds,
+                        "inflation_finishing": finishing,
+                        "inflation_width": width,
+                        "inflation_built_width": built_width,
+                        "inflation_router_calls": self.router_calls,
+                        "inflation_route_capacity": self._route_capacity,
+                    },
+                )
+                if not more:
+                    return
+                with _stage(times, "global_route", "stage.route",
+                            round=rounds):
+                    routing = self._make_router(result.x, result.y).route(
+                        result.x, result.y)
+                self.router_calls += 1
                 ratios = inflation_ratio_map(
                     routing.tile_ratio_map,
                     params.inflation_exponent,
@@ -277,22 +274,14 @@ class DreamPlacer:
                     x=result.x, y=result.y,
                     whitespace_cap=params.inflation_whitespace_cap,
                 )
+                width = db.cell_width.copy()
                 if added < params.inflation_stop_ratio * total_cell_area:
                     # converged: warm-restart the same placer (rebind +
                     # momentum restart) and finish placement to target
-                    placer.lambda_period = (
-                        params.inflation_lambda_period if rounds else 1
-                    )
-                    placer.set_positions(result.x, result.y)
-                    start = time.perf_counter()
-                    with trace_span("stage.gp", round=rounds, final=True):
-                        result = placer.place(monitor=monitor,
-                                              on_iteration=on_iteration)
-                    times.global_place += time.perf_counter() - start
-                    recoveries += result.recoveries
-                    result.recoveries = recoveries
-                    return result, (rounds, router_calls)
-                rounds += 1
+                    finishing = reuse = True
+                else:
+                    self.inflation_rounds += 1
+                    built_width = width
                 warm = (result.x, result.y)
         finally:
             db.cell_width = original_width
@@ -311,13 +300,3 @@ class DreamPlacer:
             self.db, params.route_num_tiles, params.route_num_layers,
             self._route_capacity,
         )
-
-    def _final_route_metrics(self, x, y, times: StageTimes):
-        """Route the final placement to report RC and sHPWL (Table V)."""
-        router = self._make_router(x, y)
-        start = time.perf_counter()
-        with trace_span("stage.route", final=True):
-            routing = router.route(x, y)
-        times.global_route += time.perf_counter() - start
-        hpwl = self.db.hpwl(x, y)
-        return routing.rc, scaled_hpwl(hpwl, routing.rc)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import os
 import time
 import traceback
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -52,6 +53,7 @@ from repro.obs.recorders import (
 )
 from repro.obs.trace import Trace, trace_span
 from repro.obs.trace import active as active_tracer
+from repro.perf import Profiler
 from repro.runner.cache import ResultCache
 from repro.runner.checkpoint import PlacerCheckpoint
 from repro.runner.events import EventLog, EventType
@@ -286,12 +288,12 @@ def _execute_job(spec: JobSpec, store: RunStore,
             nonlocal seen_recoveries
             record_iteration(placer, info)
             handle.touch_lease()
-            extra = ({"level": info["level"]} if "level" in info else {})
+            # iteration/hpwl/overflow/status plus whatever round keys
+            # the GP driver tagged the info with (level, round, ...)
             handle.events.emit(
                 EventType.ITERATION,
-                iteration=info["iteration"], hpwl=info["hpwl"],
-                overflow=info["overflow"], status=info["status"],
-                **extra,
+                **{key: value for key, value in info.items()
+                   if key != "recoveries"},
             )
             if info["recoveries"] > seen_recoveries:
                 seen_recoveries = info["recoveries"]
@@ -331,19 +333,12 @@ def _execute_job(spec: JobSpec, store: RunStore,
 
         try:
             handle.events.emit(EventType.STAGE_START, stage="gp")
-            if profile:
-                from repro.perf import Profiler
-
-                with Profiler() as prof:
-                    result = DreamPlacer(db, params).run(
-                        on_iteration=on_iteration,
-                        resume_state=resume_state,
-                    )
-                handle.events.emit(EventType.PROFILE, ops=prof.as_dict())
-            else:
+            with (Profiler() if profile else nullcontext()) as prof:
                 result = DreamPlacer(db, params).run(
                     on_iteration=on_iteration, resume_state=resume_state,
                 )
+            if prof is not None:
+                handle.events.emit(EventType.PROFILE, ops=prof.as_dict())
         except JobTimeout as exc:
             handle.set_status(STATUS_TIMEOUT, error=str(exc),
                               attempts=attempt)

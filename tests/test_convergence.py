@@ -206,6 +206,52 @@ class TestOptimizerStateDicts:
         assert weight.value == value
         assert weight._last_hpwl == 90.0
 
+    def test_gp_loop_state_round_trip(self):
+        """A checkpointed ``GpLoopState`` loaded into a fresh placer's
+        loop serializes back to the same dict, with the key set every
+        ``PlacerCheckpoint`` on disk already has."""
+        params = PlacementParams(seed=9)
+        captured = {}
+
+        def hook(placer, info):
+            if info["iteration"] == 6:
+                captured.update(placer.capture_loop_state())
+
+        GlobalPlacer(make_db(), params).place(max_iters=8,
+                                              on_iteration=hook)
+        assert set(captured) == {
+            "iteration", "hpwl", "overflow", "pos", "gamma",
+            "density_weight", "optimizer", "scheduler", "weight",
+            "monitor", "best_snap", "best_wl_snap", "hpwl_trace",
+            "overflow_trace", "best_hpwl", "recoveries",
+        }
+        fresh = GlobalPlacer(make_db(), params)
+        loop = fresh._begin(params.stop_overflow, None, captured)
+        assert loop.iteration == 6 and len(loop.hpwl_trace) == 6
+        np.testing.assert_array_equal(fresh.pos.data, captured["pos"])
+        assert fresh.objective.gamma == captured["gamma"]
+        _assert_state_equal(loop.state_dict(), captured)
+        # and it is a copy: advancing the loop leaves the dict alone
+        pos = captured["pos"].copy()
+        fresh.place(max_iters=8, resume_state=captured)
+        np.testing.assert_array_equal(captured["pos"], pos)
+
+
+def _assert_state_equal(a, b):
+    assert type(a) is type(b)
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            _assert_state_equal(a[key], b[key])
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_state_equal(x, y)
+    elif isinstance(a, np.ndarray):
+        np.testing.assert_array_equal(a, b)
+    else:
+        assert a == b or (a != a and b != b)  # NaN round-trips as NaN
+
 
 # ----------------------------------------------------------------------
 class TestNesterovNaNGuard:

@@ -93,6 +93,63 @@ class TestFlowVariants:
         assert result.times.global_route > 0
         assert result.legality.legal
 
+    def test_routability_composes_with_multilevel(self):
+        db = generate(CircuitSpec(name="routm", num_cells=600, num_ios=16,
+                                  utilization=0.5, seed=47))
+        params = PlacementParams(
+            max_global_iters=250, routability=True, detailed=False,
+            route_num_tiles=16, route_tile_capacity=0.0,
+            inflation_max_rounds=2,
+            multilevel_levels=2, multilevel_min_cells=64,
+        )
+        seen = set()
+        result = DreamPlacer(db, params).run(
+            on_iteration=lambda placer, info:
+            seen.add((info["level"], info.get("round"))))
+        # the coarse round, then the inflation rounds on the fine level
+        assert (1, None) in seen and {(0, 0), (0, 1)} <= seen
+        assert len(result.gp_levels) == 2 and result.rc is not None
+        assert [e["level"] for e in result.gp_levels] == [1, 0]
+        assert result.iterations == sum(e["iterations"]
+                                        for e in result.gp_levels)
+        assert result.inflation_rounds >= 1
+        assert result.legality.legal
+
+    def test_routability_resumes_in_the_finishing_round(self):
+        """A checkpoint taken after the inflation converged (the round
+        that warm-restarts the placer built before the last inflation)
+        resumes bit-exactly, widths and router bookkeeping included."""
+        spec = CircuitSpec(name="routf", num_cells=300, num_ios=8,
+                           utilization=0.6, seed=43)
+        params = PlacementParams(
+            max_global_iters=300, routability=True, detailed=False,
+            route_num_tiles=16, route_tile_capacity=6.0,
+            inflation_max_rounds=5, inflation_stop_ratio=0.05,
+        )
+        state = {}
+
+        def hook(placer, info):
+            extra = placer.checkpoint_extra
+            if (extra["inflation_finishing"] and info["iteration"] == 7
+                    and not state):
+                state.update(placer.capture_loop_state())
+
+        reference = DreamPlacer(generate(spec), params).run(
+            on_iteration=hook)
+        assert state, "the inflation never converged"
+        assert not np.array_equal(state["inflation_width"],
+                                  state["inflation_built_width"])
+        db = generate(spec)
+        widths = db.cell_width.copy()
+        resumed = DreamPlacer(db, params).run(resume_state=state)
+        np.testing.assert_array_equal(resumed.x, reference.x)
+        np.testing.assert_array_equal(resumed.y, reference.y)
+        assert (resumed.rc, resumed.inflation_rounds, resumed.router_calls,
+                resumed.iterations) == (
+            reference.rc, reference.inflation_rounds,
+            reference.router_calls, reference.iterations)
+        np.testing.assert_array_equal(db.cell_width, widths)
+
     def test_routability_restores_original_widths(self):
         db = generate(CircuitSpec(name="routb", num_cells=250, num_ios=8,
                                   utilization=0.5, seed=37))

@@ -56,11 +56,11 @@ def make_db(seed=5, num_cells=60):
     ))
 
 
-def gp_spec(**overrides) -> JobSpec:
-    """A fast GP-only job spec for a pre-loaded database."""
+def gp_spec(stages=("gp",), **overrides) -> JobSpec:
+    """A fast (by default GP-only) job spec for a pre-loaded database."""
     params = PlacementParams(max_global_iters=120, **overrides)
     return JobSpec(design=DesignRef("runnertest", scale=1),
-                   params=params, stages=("gp",))
+                   params=params, stages=stages)
 
 
 def _dead_pid() -> int:
@@ -263,33 +263,48 @@ class _FakeClock:
 
 
 class TestKillResume:
+    # the routability job spends 112 (float64) / 114 (float32)
+    # iterations in inflation round 0, so iteration 146 overall is
+    # iteration 34 / 32 of round 1: past that round's checkpoint at 30
+    @pytest.mark.parametrize("stages,timeout,overrides", [
+        (("gp",), 33.0, {}),
+        (("gp", "route", "lg"), 145.0,
+         dict(route_num_tiles=8, route_tile_capacity=1.0,
+              inflation_max_rounds=2)),
+    ], ids=["plain", "routability"])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_killed_run_resumes_bit_exactly(self, tmp_path, monkeypatch,
-                                            dtype):
-        """Acceptance: SIGKILL mid-GP -> resume -> bit-exact result."""
+                                            dtype, stages, timeout,
+                                            overrides):
+        """Acceptance: SIGKILL mid-GP -> resume -> bit-exact result,
+        in the plain flow and inside a routability inflation round."""
         db = make_db()
-        spec = gp_spec(dtype=dtype)
+        spec = gp_spec(stages=stages, dtype=dtype, **overrides)
 
         # uninterrupted reference run
         ref_store = RunStore(str(tmp_path / "ref"))
         reference = execute_job(spec, ref_store, db=db)
         assert reference.ok
 
-        # deterministically "kill" a second run at GP iteration 34
-        # (fake clock + cooperative timeout stands in for SIGKILL: the
-        # run dies between checkpoint writes exactly like a killed
-        # process, leaving checkpoint.pkl from iteration 30 behind)
+        # deterministically "kill" a second run at GP iteration
+        # ``timeout + 1`` (fake clock + cooperative timeout stands in
+        # for SIGKILL: the run dies between checkpoint writes exactly
+        # like a killed process, leaving checkpoint.pkl from the
+        # active round's iteration 30 behind)
         store = RunStore(str(tmp_path / "killed"))
         import repro.runner.execute as execute_mod
 
         monkeypatch.setattr(execute_mod, "time", _FakeClock())
         killed = execute_job(spec, store, db=db, checkpoint_every=10,
-                             timeout=33.0)
+                             timeout=timeout)
         monkeypatch.undo()
         assert killed.status == STATUS_TIMEOUT
         ckpt_path = os.path.join(killed.directory, "checkpoint.pkl")
         assert os.path.exists(ckpt_path)
-        assert PlacerCheckpoint.load(ckpt_path).iteration == 30
+        ckpt = PlacerCheckpoint.load(ckpt_path)
+        assert ckpt.iteration == 30
+        if "route" in stages:
+            assert ckpt.loop_state["inflation_round"] == 1
 
         resumed = execute_job(spec, store, db=db, resume=True)
         assert resumed.ok
@@ -306,6 +321,11 @@ class TestKillResume:
             == reference.metrics["iterations"]
         np.testing.assert_array_equal(resumed.result.x, reference.result.x)
         np.testing.assert_array_equal(resumed.result.y, reference.result.y)
+        # rc, sHPWL, inflation rounds and router calls carry over too
+        assert resumed.metrics["routability"] \
+            == reference.metrics["routability"]
+        assert resumed.metrics["recoveries"] \
+            == reference.metrics["recoveries"]
 
     def test_resume_without_checkpoint_restarts(self, tmp_path):
         db = make_db()
