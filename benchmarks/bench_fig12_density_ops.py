@@ -3,7 +3,9 @@
 Times the complete density pipeline (scatter -> Poisson solve ->
 gather) per design: the DAC-version analog (naive scatter + row-column
 2N-point DCT) against the TCAD-version analog (offset-parallel scatter
-+ fast transforms), plus a reference-kernel "single thread" analog.
++ fast transforms), plus a reference-kernel "single thread" analog and
+this repo's production configuration (the ``flat`` overlap-plan kernel
+shared between scatter and gathers; not a paper row).
 Paper shape: TCAD version 1.5-2.1x over DAC version on GPU; 3.1x from
 1 to 40 threads on CPU.
 """
@@ -22,6 +24,7 @@ _CONFIGS = {
     "dac-version": dict(strategy="naive", dct_impl="2n"),
     "tcad-sorted": dict(strategy="sorted", dct_impl="n"),
     "tcad-stamp": dict(strategy="stamp", dct_impl="2d"),
+    "production-flat": dict(strategy="flat", dct_impl="2d"),
 }
 _TIMINGS: dict[tuple[str, str], float] = {}
 
@@ -61,7 +64,8 @@ def test_fig12_summary(benchmark):
     speedups = []
     for design in sorted(designs):
         row = [_TIMINGS[(design, c)] for c in _CONFIGS]
-        speedup = row[0] / row[-1]
+        speedup = (_TIMINGS[(design, "dac-version")]
+                   / _TIMINGS[(design, "tcad-stamp")])
         speedups.append(speedup)
         print_row([design] + row + [speedup])
     mean = sum(speedups) / len(speedups)

@@ -4,8 +4,10 @@ The paper sweeps how many GPU threads update one cell (1x1 .. 4x4) in
 the density map kernel on bigblue4, with float32 and float64.  The CPU
 analog is the work-partitioning strategy: ``naive`` (one unit of work
 per cell, load-imbalanced), ``sorted`` (area-grouped batches = warp
-balancing) and ``stamp`` (offset-parallel = multiple threads per cell).
-Numbers are normalized to ``naive`` float64, like the figure.
+balancing) and ``stamp`` (offset-parallel = multiple threads per cell);
+``flat`` (this repo's production overlap-plan kernel, not a paper row)
+is timed alongside.  Numbers are normalized to ``naive`` float64, like
+the figure.
 """
 
 import time

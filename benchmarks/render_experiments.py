@@ -275,7 +275,11 @@ def main() -> None:
             "RePlAce's runtime; GP-IP alone is 25-30% of GP.  Our "
             "sparse-linear B2B initializer is comparatively much faster "
             "than the reference nonlinear kernels, so GP still "
-            "dominates but GP-IP's share is smaller.",
+            "dominates but GP-IP's share is smaller."
+            "  From PR 1 until PR 13 ``ElectricDensity`` ignored its "
+            "strategy (every label ran the ``flat`` kernel); these rows "
+            "were measured after the fix, and the rows they replaced "
+            "dated from the seed, before the bug.",
         ),
         section_fig(
             "fig6_density_scatter",
@@ -284,7 +288,9 @@ def main() -> None:
             "on GPU.  CPU analog: the offset-parallel ``stamp`` scheme "
             "and the footprint-grouped ``sorted`` scheme both beat the "
             "per-cell ``naive`` loop by far larger factors (Python loop "
-            "overhead amplifies the imbalance the figure measures).",
+            "overhead amplifies the imbalance the figure measures).  "
+            "``flat`` is this repo's production overlap-plan kernel, "
+            "not a paper row.",
             ["strategy", "dtype", "mean seconds"],
             ["strategy", "dtype", "mean_seconds"],
             ["strategy", "dtype"],
@@ -308,7 +314,11 @@ def main() -> None:
             "TCAD GPU version is the 1.0 reference.  CPU analog: each "
             "step along the fusion/vectorization axis (reference -> "
             "atomic -> merged -> merged+stamp+2D) buys a large, "
-            "then diminishing, factor.",
+            "then diminishing, factor."
+            "  From PR 1 until PR 13 ``ElectricDensity`` ignored its "
+            "strategy (every label ran the ``flat`` kernel); these rows "
+            "were measured after the fix, and the rows they replaced "
+            "dated from the seed, before the bug.",
             ["config", "per-iteration seconds"],
             ["config", "per_iteration_seconds"],
             ["config"],
@@ -359,7 +369,12 @@ def main() -> None:
             "Measured: TCAD-analog (stamp scatter + fast transforms) "
             "over DAC-analog (naive scatter + 2N transforms) "
             "reproduces with larger factors, for the same "
-            "Python-loop-overhead reason as Fig. 10.",
+            "Python-loop-overhead reason as Fig. 10; "
+            "``production-flat`` is the default kernel of this repo."
+            "  From PR 1 until PR 13 ``ElectricDensity`` ignored its "
+            "strategy (every label ran the ``flat`` kernel); these rows "
+            "were measured after the fix, and the rows they replaced "
+            "dated from the seed, before the bug.",
             ["design", "config", "mean seconds"],
             ["design", "config", "mean_seconds"],
             ["design", "config"],

@@ -108,7 +108,7 @@ class ReplacePlacer:
             per_iter = self._sample_reference_iteration_cost(x0, y0)
             fast = params.with_overrides(
                 wirelength_strategy="merged",
-                density_strategy="stamp",
+                density_strategy="flat",
                 dct_impl="2d",
             )
             placer = GlobalPlacer(db, fast)

@@ -72,8 +72,6 @@ class _FieldSystem:
 
 
 class _MultiFieldFunction(Function):
-    # no compile_replay: the generic replay re-runs forward/backward
-    # verbatim, which is all this per-region Python loop needs
     capture_safe = True
 
     def forward(self, pos: np.ndarray, *, op: "MultiRegionDensity"):

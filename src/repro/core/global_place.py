@@ -46,7 +46,7 @@ from repro.ops.lse_wirelength import LogSumExpWirelength
 from repro.ops.wa_wirelength import WeightedAverageWirelength
 from repro.obs.trace import trace_span
 from repro.perf.profiler import profiled
-from repro.perf.workspace import NullWorkspace, Workspace
+from repro.perf.workspace import Workspace
 
 
 @dataclass
@@ -179,10 +179,9 @@ class GlobalPlacer:
     def _build_ops(self) -> None:
         params = self.params
         dtype = params.np_dtype()
-        pooled = params.workspace_pooling
         # one workspace shared by every op of this placer: kernels use
         # disjoint buffer-name prefixes, so pools never alias
-        self.ws = Workspace() if pooled else NullWorkspace()
+        self.ws = Workspace()
         self._free_area = None  # lazy fixed-cell free-area map (overflow)
         if self.wirelength_factory is not None:
             wl_op = self.wirelength_factory(
@@ -192,13 +191,13 @@ class GlobalPlacer:
             wl_op = WeightedAverageWirelength(
                 self.db, gamma=self.gamma_schedule(1.0),
                 strategy=params.wirelength_strategy, dtype=dtype,
-                pooled=pooled, workspace=self.ws,
+                workspace=self.ws,
                 ignore_net_degree=params.ignore_net_degree,
             )
         elif params.wirelength == "lse":
             wl_op = LogSumExpWirelength(
                 self.db, gamma=self.gamma_schedule(1.0), dtype=dtype,
-                pooled=pooled, workspace=self.ws,
+                workspace=self.ws,
                 ignore_net_degree=params.ignore_net_degree,
             )
         else:
@@ -220,7 +219,7 @@ class GlobalPlacer:
                 strategy=params.density_strategy,
                 dct_impl=params.dct_impl,
                 dtype=dtype,
-                pooled=pooled, workspace=self.ws,
+                workspace=self.ws,
             )
         self.objective = PlacementObjective(wl_op, density_op)
 
@@ -272,7 +271,7 @@ class GlobalPlacer:
             return density_overflow(
                 self.db, self.grid, x, y, self.params.target_density,
                 free_area=self._free_area,
-                workspace=self.ws if self.params.workspace_pooling else None,
+                workspace=self.ws,
             )
 
     def _density_weight(self) -> DensityWeight:

@@ -27,10 +27,6 @@ class PlacementParams:
     # -- numerics ------------------------------------------------------
     dtype: str = "float64"  # "float32" or "float64" (the paper's sweeps)
     seed: int = DEFAULT_SEED
-    #: run the GP hot-loop kernels on persistent workspace buffers
-    #: (zero steady-state allocations); False restores the original
-    #: allocate-per-call kernels (the pooling benchmarks' baseline)
-    workspace_pooling: bool = True
     #: capture the GP objective graph on the first closure evaluation
     #: and replay it as a precompiled straight-line tape afterwards
     #: (bit-exact against eager; recaptured on structural events and
@@ -43,7 +39,7 @@ class PlacementParams:
     #: bins per axis; ``None`` auto-sizes to a power of two near
     #: sqrt(num_movable), clamped to [16, 512] (RePlAce-style grids)
     num_bins: Optional[int] = None
-    density_strategy: str = "stamp"  # see repro.ops.density_map
+    density_strategy: str = "flat"  # see repro.ops.density_map
     dct_impl: str = "2d"  # see repro.ops.dct
     use_fillers: bool = True
 

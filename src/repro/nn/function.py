@@ -52,18 +52,6 @@ class Function:
     def backward(self, grad_output: np.ndarray):
         raise NotImplementedError
 
-    def compile_replay(self, kwargs: dict):
-        """Optional tape-replay specialization hook.
-
-        Called once at capture finalization with the recorded kwargs.
-        Return ``(forward, backward)`` callables to substitute on the
-        tape — both must be *bit-identical* to the eager pair (the fast
-        paths batch work across axes/transforms without changing any
-        reduction order) — or ``None`` to replay the node's own
-        ``forward``/``backward`` verbatim.
-        """
-        return None
-
     # -- invocation -------------------------------------------------------
     @classmethod
     def apply(cls, *inputs, **kwargs) -> Tensor:

@@ -25,11 +25,8 @@ Replay contract (what makes it bit-exact against eager):
   for the objective's expression tree this reproduces the eager
   topological order exactly, including the gradient accumulation order
   into the position leaf;
-- ops may provide a :meth:`~repro.nn.function.Function.compile_replay`
-  specialization (e.g. the both-axis wirelength kernel or the batched
-  spectral Poisson solve) whose results are bit-identical to their
-  eager forward; otherwise the recorded node's own ``forward`` /
-  ``backward`` are reused verbatim.
+- every step is the recorded node's own ``forward`` / ``backward``,
+  reused verbatim: eager execution and replay run the same kernels.
 
 Only ops whose class sets ``capture_safe = True`` may be taped; a graph
 containing any other op (e.g. a user-supplied wirelength factory)
@@ -234,13 +231,8 @@ class TapeRecorder:
 
         steps = []
         for node, specs, kwargs, out_slot, requires in self.entries:
-            compiled = node.compile_replay(kwargs) if requires else None
-            if compiled is not None:
-                forward, backward = compiled
-            else:
-                forward = (functools.partial(node.forward, **kwargs)
-                           if kwargs else node.forward)
-                backward = node.backward
+            forward = (functools.partial(node.forward, **kwargs)
+                       if kwargs else node.forward)
             actions = None
             if requires:
                 actions = []
@@ -260,7 +252,7 @@ class TapeRecorder:
                         actions.append((False, pslot, dtype, shape))
                 actions = tuple(actions)
             steps.append(_Step(
-                forward, backward, specs, out_slot, requires,
+                forward, node.backward, specs, out_slot, requires,
                 len(node.inputs), actions,
             ))
 

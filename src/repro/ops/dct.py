@@ -251,7 +251,7 @@ def dct2d_fft2(x: np.ndarray) -> np.ndarray:
 
 
 def dct2d_fft2_pooled(x: np.ndarray, ws) -> np.ndarray:
-    """:func:`dct2d_fft2` on workspace buffers (replay fast path).
+    """:func:`dct2d_fft2` on workspace buffers (the Poisson solver's path).
 
     Bit-identical: same ufuncs on the same operands in the same order,
     written into persistent buffers instead of fresh arrays.  ``x`` must

@@ -5,7 +5,7 @@ Fig. 5(a): every cell spreads its (stretched) area over the bins it
 overlaps.  The force computation is the matching backward (Fig. 5(b)):
 every cell gathers the field of the bins it overlaps with the same
 overlap weights.  Three strategies reproduce the paper's kernel study
-(Fig. 6, Fig. 12):
+(Fig. 6, Fig. 12) and a fourth is the production kernel:
 
 ``naive``
     One unit of work per cell, looping over its bins sequentially — the
@@ -18,6 +18,14 @@ overlap weights.  Three strategies reproduce the paper's kernel study
     Offset-parallel updates: for every (dx, dy) bin offset all cells
     covering that offset update simultaneously — the analog of 'update
     one cell with multiple threads'.
+``flat``
+    Every (cell, bin) overlap pair enumerated once as a flat
+    contribution list (:func:`build_overlap_plan`) living in workspace
+    buffers; the scatter is one ``add.at`` over it and each force gather
+    one ``take`` + segment reduction reusing the same coefficients.
+    The default of :class:`~repro.ops.density_op.ElectricDensity`,
+    which builds the plan once per iteration and shares it between the
+    forward scatter and both backward gathers.
 """
 
 from __future__ import annotations
@@ -27,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geometry.bins import BinGrid
-from repro.perf.workspace import Workspace
+from repro.perf.workspace import NullWorkspace, Workspace
 
-STRATEGIES = ("naive", "sorted", "stamp")
+STRATEGIES = ("naive", "sorted", "stamp", "flat")
 
 # cells spanning more bins than this are processed with the naive loop in
 # the vectorized strategies (the handful of macros in a design)
@@ -119,6 +127,10 @@ def scatter_density(grid: BinGrid, xl, yl, wx, wy, weight,
         _scatter_naive_subset(grid, out, xl, yl, wx, wy, weight,
                               np.arange(n))
         return out
+    if strategy == "flat":
+        scatter_plan(build_overlap_plan(grid, xl, yl, xl + wx, yl + wy,
+                                        weight, NullWorkspace()), out)
+        return out
 
     ix0, sx, iy0, sy = cell_bin_spans(grid, xl, yl, wx, wy)
     big = (sx > _MACRO_SPAN) | (sy > _MACRO_SPAN)
@@ -147,17 +159,18 @@ def scatter_density(grid: BinGrid, xl, yl, wx, wy, weight,
 
 
 # ---------------------------------------------------------------------------
-# pooled flat-contribution kernels (zero steady-state allocations)
+# flat-contribution kernels (strategy "flat"; zero steady-state
+# allocations on a pooling workspace)
 #
-# Instead of looping over (dx, dy) offsets with boolean-mask passes, the
-# pooled path enumerates every (cell, bin) overlap pair as one flat
-# contribution: ``counts[i] = sx[i] * sy[i]`` pairs per cell, laid out
-# cell-major so per-cell segment reductions are a single ``reduceat``.
-# The plan (flat bin index + overlap-area weight per pair) is built once
-# per iteration in workspace buffers and shared by the density scatter
-# (forward) and both force gathers (backward) — the seed strategies
-# recompute the overlaps three times per iteration.  Arbitrary spans are
-# handled uniformly, so macros need no separate naive pass.
+# Instead of looping over (dx, dy) offsets with boolean-mask passes,
+# every (cell, bin) overlap pair is one flat contribution:
+# ``counts[i] = sx[i] * sy[i]`` pairs per cell, laid out cell-major so
+# per-cell segment reductions are a single ``reduceat``.  The plan (flat
+# bin index + overlap-area weight per pair) is built once in workspace
+# buffers and can be shared by the density scatter (forward) and both
+# force gathers (backward) — the other strategies recompute the
+# overlaps three times per iteration.  Arbitrary spans are handled
+# uniformly, so macros need no separate naive pass.
 # ---------------------------------------------------------------------------
 @dataclass
 class FlatOverlapPlan:
@@ -174,7 +187,7 @@ class FlatOverlapPlan:
     num_cells: int
 
 
-def _span_1d_pooled(lo_arr, hi_arr, origin, step, nbins, idx0, span, tf):
+def _span_1d(lo_arr, hi_arr, origin, step, nbins, idx0, span, tf):
     """span_x/span_y on workspace buffers: first bin + count per cell."""
     np.subtract(lo_arr, origin, out=tf)
     tf /= step
@@ -192,7 +205,7 @@ def _span_1d_pooled(lo_arr, hi_arr, origin, step, nbins, idx0, span, tf):
     np.maximum(span, 1, out=span)
 
 
-def _overlap_1d_pooled(idx_flat, lo_g, hi_g, origin, step, fa, fb):
+def _overlap_1d(idx_flat, lo_g, hi_g, origin, step, fa, fb):
     """overlap = max(min(hi, lo_bin + step) - max(lo, lo_bin), 0).
 
     ``lo_g``/``hi_g`` hold the gathered cell edges; the result is
@@ -222,10 +235,8 @@ def build_overlap_plan(grid: BinGrid, xl, yl, xh, yh, weight,
     sx = ws.acquire(prefix + ".sx", n, np.int64)
     iy0 = ws.acquire(prefix + ".iy0", n, np.int64)
     sy = ws.acquire(prefix + ".sy", n, np.int64)
-    _span_1d_pooled(xl, xh, grid.region.xl, grid.bin_w, grid.nx,
-                    ix0, sx, tf)
-    _span_1d_pooled(yl, yh, grid.region.yl, grid.bin_h, grid.ny,
-                    iy0, sy, tf)
+    _span_1d(xl, xh, grid.region.xl, grid.bin_w, grid.nx, ix0, sx, tf)
+    _span_1d(yl, yh, grid.region.yl, grid.bin_h, grid.ny, iy0, sy, tf)
     counts = ws.acquire(prefix + ".counts", n, np.int64)
     np.multiply(sx, sy, out=counts)
     starts = ws.acquire(prefix + ".starts", n + 1, np.int64)
@@ -262,12 +273,10 @@ def build_overlap_plan(grid: BinGrid, xl, yl, xh, yh, weight,
     sb = ws.acquire_flat(prefix + ".sb", total, dtype)
     np.take(xl, grp, out=ga, mode="clip")
     np.take(xh, grp, out=gb, mode="clip")
-    ov = _overlap_1d_pooled(col, ga, gb, grid.region.xl, grid.bin_w,
-                            sa, sb)
+    ov = _overlap_1d(col, ga, gb, grid.region.xl, grid.bin_w, sa, sb)
     np.take(yl, grp, out=ga, mode="clip")
     np.take(yh, grp, out=gc, mode="clip")
-    ovy = _overlap_1d_pooled(row, ga, gc, grid.region.yl, grid.bin_h,
-                             sa, sb)
+    ovy = _overlap_1d(row, ga, gc, grid.region.yl, grid.bin_h, sa, sb)
     ov *= ovy
     np.take(weight, grp, out=ga, mode="clip")
     ov *= ga
@@ -278,23 +287,18 @@ def build_overlap_plan(grid: BinGrid, xl, yl, xh, yh, weight,
                            starts=starts, num_cells=n)
 
 
-def scatter_density_pooled(grid: BinGrid, plan: FlatOverlapPlan,
-                           ws: Workspace, name: str = "dm.rho",
-                           dtype=np.float64) -> np.ndarray:
-    """Accumulate the plan's contributions into a pooled bin map."""
-    out = ws.acquire(name, grid.shape, dtype)
-    out.fill(0)
+def scatter_plan(plan: FlatOverlapPlan, out: np.ndarray) -> None:
+    """Accumulate the plan's contributions into the bin map ``out``."""
     np.add.at(out.reshape(-1), plan.flat_index, plan.coefficient)
-    return out
 
 
-def gather_field_pooled(plan: FlatOverlapPlan, field: np.ndarray,
-                        ws: Workspace, name: str = "dm.force") -> np.ndarray:
+def gather_plan(plan: FlatOverlapPlan, field: np.ndarray,
+                ws: Workspace, name: str = "dm.force") -> np.ndarray:
     """Per-cell overlap-weighted sum of a bin field, reusing the plan.
 
-    The forward's plan already holds the overlap coefficients, so the
-    backward gathers are a flat ``take`` + one segment reduction —
-    overlaps are not recomputed per axis as in the seed strategies.
+    The plan already holds the overlap coefficients, so a gather is a
+    flat ``take`` + one segment reduction — overlaps are not recomputed
+    per axis as in the other strategies.
     """
     dtype = plan.coefficient.dtype
     total = plan.flat_index.shape[0]
@@ -308,6 +312,8 @@ def gather_field_pooled(plan: FlatOverlapPlan, field: np.ndarray,
     out = ws.acquire(name, plan.num_cells, dtype)
     np.add.reduceat(val, plan.starts[:-1], out=out)
     return out
+
+
 def _gather_naive_subset(grid, field, xl, yl, wx, wy, weight, index, out):
     for i in index:
         cxl, cyl = xl[i], yl[i]
@@ -370,6 +376,10 @@ def gather_field(grid: BinGrid, field: np.ndarray, xl, yl, wx, wy, weight,
         _gather_naive_subset(grid, field, xl, yl, wx, wy, weight,
                              np.arange(n), out)
         return out
+    if strategy == "flat":
+        ws = NullWorkspace()
+        plan = build_overlap_plan(grid, xl, yl, xl + wx, yl + wy, weight, ws)
+        return gather_plan(plan, field, ws)
 
     ix0, sx, iy0, sy = cell_bin_spans(grid, xl, yl, wx, wy)
     big = (sx > _MACRO_SPAN) | (sy > _MACRO_SPAN)

@@ -5,13 +5,13 @@ eq. (2): cells (plus filler cells) are charges, the forward pass scatters
 charge into bins, solves Poisson's equation spectrally and returns the
 potential energy; the backward pass gathers the electric force per cell.
 
-With ``pooled=True`` (default) the scatter/gather pipeline runs on
-persistent workspace buffers: the forward builds one flat
-(cell, bin) overlap plan per iteration and the backward reuses its
-overlap coefficients for both force gathers, so overlaps are computed
-once instead of three times and no large temporaries are allocated in
-steady state.  ``pooled=False`` keeps the original per-call strategies
-(the "before" configuration of the pooling benchmarks).
+The scatter/gather kernel is the one ``strategy`` names (see
+:mod:`repro.ops.density_map`).  With the default ``"flat"`` the forward
+builds one flat (cell, bin) overlap plan per iteration in the op's
+workspace and the backward reuses its overlap coefficients for both
+force gathers, so overlaps are computed once instead of three times and
+no large temporaries are allocated in steady state; ``"naive"`` /
+``"sorted"`` / ``"stamp"`` run the paper's per-call kernels.
 """
 
 from __future__ import annotations
@@ -24,15 +24,16 @@ from repro.nn.function import Function
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 from repro.ops.density_map import (
+    STRATEGIES,
     build_overlap_plan,
     gather_field,
-    gather_field_pooled,
+    gather_plan,
     scatter_density,
-    scatter_density_pooled,
+    scatter_plan,
 )
 from repro.ops.electrostatics import PoissonSolver
 from repro.perf.profiler import profiled
-from repro.perf.workspace import NullWorkspace, Workspace
+from repro.perf.workspace import Workspace
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -59,142 +60,66 @@ class _DensityFunction(Function):
 
     capture_safe = True
 
-    def compile_replay(self, kwargs):
-        """Tape fast path: pooled forward with the batched spectral solve.
-
-        The filler-bounds check ran when the graph was captured and the
-        participant index is iteration-invariant, so replay skips it;
-        everything else is the regular pooled pipeline with the solver's
-        three inverse transforms fused into one batched ``irfft2``.
-        """
-        op = kwargs["op"]
-        if not op.pooled:
-            return None
-        idx = op.participant_index
-        solve = op.solver.solve_captured
-        batches: dict = {}  # n -> concatenated x/y gather plan
-
-        def fwd(pos):
-            with profiled("density.forward"):
-                n = pos.shape[0] // 2
-                batch = batches.get(n)
-                if batch is None:
-                    batch = batches[n] = (
-                        np.concatenate([idx, n + idx]),
-                        np.concatenate([op.off_x, op.off_y]),
-                        np.concatenate([op.part_w, op.part_h]),
-                    )
-                return self._forward_pooled(pos, op, n, idx, solve, batch)
-
-        # the pooled backward already reuses the forward's overlap plan
-        # and is scalar-constant-free; nothing left to specialize
-        return fwd, self.backward
-
     def forward(self, pos: np.ndarray, *, op: "ElectricDensity"):
         with profiled("density.forward"):
             n = pos.shape[0] // 2
-            idx = op.participant_index
-            if idx.max(initial=-1) >= n:
+            if op.max_participant >= n:
                 raise ValueError(
                     "position vector too short for the configured fillers"
                 )
-            if op.pooled:
-                return self._forward_pooled(pos, op, n, idx)
-            x = pos[:n]
-            y = pos[n:]
-            # density boxes are centered on the cell, using stretched sizes
-            xl = x[idx] + op.off_x
-            yl = y[idx] + op.off_y
+            ws = op.ws
+            m = op.participant_index.shape[0]
+            pos = pos.astype(op.dtype, copy=False)
+            # density boxes are centered on the cell, using stretched
+            # sizes; low edges of both axes come from one gather per
+            # half of the (x..., y...) vector into one stacked buffer
+            lo = ws.acquire("den.xy", 2 * m, op.dtype)
+            np.take(pos[:n], op.participant_index, out=lo[:m], mode="clip")
+            np.take(pos[n:], op.participant_index, out=lo[m:], mode="clip")
+            lo += op.offsets
+            xl, yl = lo[:m], lo[m:]
+            rho_mov = ws.zeros("den.rho", op.grid.shape, op.dtype)
+            plan = None
             with profiled("density.scatter"):
-                rho_mov = scatter_density(
-                    op.grid, xl, yl, op.part_w, op.part_h, op.part_scale,
-                    strategy=op.strategy, dtype=op.dtype,
-                )
-            rho = rho_mov + op.fixed_density
+                if op.strategy == "flat":
+                    hi = ws.acquire("den.xyh", 2 * m, op.dtype)
+                    np.add(lo, op.sizes, out=hi)
+                    plan = build_overlap_plan(op.grid, xl, yl, hi[:m], hi[m:],
+                                              op.part_scale, ws, "den")
+                    scatter_plan(plan, rho_mov)
+                else:
+                    scatter_density(
+                        op.grid, xl, yl, op.part_w, op.part_h, op.part_scale,
+                        strategy=op.strategy, out=rho_mov, dtype=op.dtype,
+                    )
+            rho = ws.acquire("den.rho_total", op.grid.shape, op.dtype)
+            np.add(rho_mov, op.fixed_density, out=rho)
             with profiled("density.solve"):
                 solution = op.solver.solve(rho)
-            energy = float((rho_mov * solution.potential).sum())
-            self.save_for_backward(op, xl, yl, solution, n, None)
+            # rho consumed by the solve; reuse it for the energy product
+            np.multiply(rho_mov, solution.potential, out=rho)
+            energy = float(rho.sum())
+            self.save_for_backward(op, xl, yl, solution, n, plan)
             return np.asarray(energy, dtype=op.dtype)
-
-    def _forward_pooled(self, pos, op, n, idx, solve=None, batch=None):
-        if solve is None:
-            solve = op.solver.solve
-        ws = op.ws
-        m = idx.shape[0]
-        pos = pos.astype(op.dtype, copy=False)
-        if batch is not None:
-            # replay fast path: one gather over the concatenated x/y
-            # index (same elements, same elementwise adds); the plan
-            # builder then runs on per-axis views of the stacks
-            bidx, boff, bsize = batch
-            xy = ws.acquire("den.xy", 2 * m, op.dtype)
-            xyh = ws.acquire("den.xyh", 2 * m, op.dtype)
-            np.take(pos, bidx, out=xy, mode="clip")
-            xy += boff
-            np.add(xy, bsize, out=xyh)
-            with profiled("density.scatter"):
-                plan = build_overlap_plan(op.grid, xy[:m], xy[m:],
-                                          xyh[:m], xyh[m:],
-                                          op.part_scale, ws, "den")
-                rho_mov = scatter_density_pooled(op.grid, plan, ws,
-                                                 "den.rho", op.dtype)
-        else:
-            xl = ws.acquire("den.xl", m, op.dtype)
-            yl = ws.acquire("den.yl", m, op.dtype)
-            xh = ws.acquire("den.xh", m, op.dtype)
-            yh = ws.acquire("den.yh", m, op.dtype)
-            np.take(pos[:n], idx, out=xl, mode="clip")
-            xl += op.off_x
-            np.take(pos[n:], idx, out=yl, mode="clip")
-            yl += op.off_y
-            np.add(xl, op.part_w, out=xh)
-            np.add(yl, op.part_h, out=yh)
-            with profiled("density.scatter"):
-                plan = build_overlap_plan(op.grid, xl, yl, xh, yh,
-                                          op.part_scale, ws, "den")
-                rho_mov = scatter_density_pooled(op.grid, plan, ws,
-                                                 "den.rho", op.dtype)
-        rho = ws.acquire("den.rho_total", op.grid.shape, op.dtype)
-        np.add(rho_mov, op.fixed_density, out=rho)
-        with profiled("density.solve"):
-            solution = solve(rho)
-        # rho consumed by the solve; reuse it for the energy product
-        np.multiply(rho_mov, solution.potential, out=rho)
-        energy = float(rho.sum())
-        self.save_for_backward(op, None, None, solution, n, plan)
-        return np.asarray(energy, dtype=op.dtype)
 
     def backward(self, grad_output):
         with profiled("density.backward"):
             op, xl, yl, solution, n, plan = self.saved_values
             idx = op.participant_index
             scale = float(np.asarray(grad_output))
-            if op.pooled:
-                ws = op.ws
-                grad = ws.acquire("den.grad", 2 * n, op.dtype)
-                grad.fill(0)
-                # moving along the field decreases the potential energy
-                force = gather_field_pooled(plan, solution.field_x, ws,
-                                            "den.force")
+            grad = op.ws.zeros("den.grad", 2 * n, op.dtype)
+            # moving along the field decreases the potential energy
+            for half, field in ((grad[:n], solution.field_x),
+                                (grad[n:], solution.field_y)):
+                if plan is not None:
+                    force = gather_plan(plan, field, op.ws, "den.force")
+                else:
+                    force = gather_field(
+                        op.grid, field, xl, yl, op.part_w, op.part_h,
+                        op.part_scale, strategy=op.strategy, dtype=op.dtype,
+                    )
                 force *= -scale
-                grad[idx] = force
-                force = gather_field_pooled(plan, solution.field_y, ws,
-                                            "den.force")
-                force *= -scale
-                grad[n + idx] = force
-                return (grad,)
-            force_x = gather_field(
-                op.grid, solution.field_x, xl, yl, op.part_w, op.part_h,
-                op.part_scale, strategy=op.strategy, dtype=op.dtype,
-            )
-            force_y = gather_field(
-                op.grid, solution.field_y, xl, yl, op.part_w, op.part_h,
-                op.part_scale, strategy=op.strategy, dtype=op.dtype,
-            )
-            grad = np.zeros(2 * n, dtype=op.dtype)
-            grad[idx] = -scale * force_x
-            grad[n + idx] = -scale * force_y
+                half[idx] = force
             return (grad,)
 
 
@@ -213,29 +138,28 @@ class ElectricDensity(Module):
         Filler cells appended to the position vector (indices
         ``db.num_cells ..``), following ePlace's whitespace filling.
     strategy:
-        Density map strategy, see :mod:`repro.ops.density_map` (used by
-        the unpooled path; the pooled path always runs the flat
-        contribution kernels).
+        Density map kernel, one of
+        :data:`repro.ops.density_map.STRATEGIES`.
     dct_impl:
         DCT family for the Poisson solver, see :mod:`repro.ops.dct`.
-    pooled:
-        Use the allocation-free workspace dataflow (default).
     workspace:
-        Optional externally owned :class:`Workspace`.
+        Optional externally owned :class:`Workspace`; defaults to a
+        private one.
     """
 
     def __init__(self, db: PlacementDB, grid: BinGrid,
                  num_fillers: int = 0, filler_width: float = 0.0,
-                 filler_height: float = 0.0, strategy: str = "stamp",
+                 filler_height: float = 0.0, strategy: str = "flat",
                  dct_impl: str = "2d", dtype=np.float64,
-                 pooled: bool = True, workspace: Workspace | None = None):
+                 workspace: Workspace | None = None):
+        if strategy not in STRATEGIES:
+            raise ValueError(
+                f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
+            )
         self.grid = grid
         self.strategy = strategy
         self.dtype = np.dtype(dtype)
-        self.pooled = bool(pooled)
-        self.ws = workspace if workspace is not None else (
-            Workspace() if pooled else NullWorkspace()
-        )
+        self.ws = workspace if workspace is not None else Workspace()
         self.solver = PoissonSolver(grid, impl=dct_impl, workspace=self.ws)
         self.num_fillers = int(num_fillers)
         self.num_cells = db.num_cells
@@ -255,13 +179,18 @@ class ElectricDensity(Module):
         self.part_w = part_w.astype(self.dtype)
         self.part_h = part_h.astype(self.dtype)
         self.part_scale = part_scale.astype(self.dtype)
-        # hoisted centering offsets: box low edge = pos + (w - sw) / 2
-        self.off_x = (0.5 * (orig_w - part_w)).astype(self.dtype)
-        self.off_y = (0.5 * (orig_h - part_h)).astype(self.dtype)
+        # hoisted centering offsets: box low edge = pos + (w - sw) / 2,
+        # and box sizes, both as (x..., y...) stacks
+        self.offsets = np.concatenate([
+            0.5 * (orig_w - part_w), 0.5 * (orig_h - part_h),
+        ]).astype(self.dtype)
+        self.sizes = np.concatenate([self.part_w, self.part_h])
         self.participant_index = np.concatenate([
             movable,
             db.num_cells + np.arange(self.num_fillers, dtype=np.int64),
         ])
+        #: the position vector must reach past this index (checked per call)
+        self.max_participant = int(self.participant_index.max(initial=-1))
 
         # static map of fixed cells (not stretched; they are real blockages)
         fixed = db.fixed_index

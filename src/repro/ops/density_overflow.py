@@ -14,9 +14,9 @@ from repro.netlist.database import PlacementDB
 from repro.ops.density_map import (
     build_overlap_plan,
     scatter_density,
-    scatter_density_pooled,
+    scatter_plan,
 )
-from repro.perf.workspace import Workspace
+from repro.perf.workspace import NullWorkspace, Workspace
 
 
 def fixed_free_area(db: PlacementDB, grid: BinGrid) -> np.ndarray:
@@ -45,8 +45,9 @@ def density_overflow(db: PlacementDB, grid: BinGrid,
     ``sum_b max(0, movable_area(b) - target * free_area(b)) / total_movable_area``
     where ``free_area(b)`` discounts fixed cells in bin ``b``.  Pass the
     precomputed :func:`fixed_free_area` as ``free_area`` to skip the
-    per-call fixed-cell rasterization, and a :class:`Workspace` to run
-    the movable scatter allocation-free.
+    per-call fixed-cell rasterization, and a pooling :class:`Workspace`
+    to run the movable scatter allocation-free (default: a private
+    :class:`NullWorkspace`, i.e. fresh buffers).
     """
     cx = db.cell_x if x is None else np.asarray(x)
     cy = db.cell_y if y is None else np.asarray(y)
@@ -55,32 +56,25 @@ def density_overflow(db: PlacementDB, grid: BinGrid,
     if free_area is None:
         free_area = fixed_free_area(db, grid)
 
-    if workspace is None:
-        mov_map = scatter_density(
-            grid, cx[movable], cy[movable],
-            db.cell_width[movable], db.cell_height[movable],
-            np.ones(movable.shape[0]), strategy="stamp",
-        )
-        overflow = np.maximum(mov_map - target_density * free_area, 0.0).sum()
-    else:
-        ws = workspace
-        m = movable.shape[0]
-        xl = ws.acquire("ovf.xl", m)
-        yl = ws.acquire("ovf.yl", m)
-        xh = ws.acquire("ovf.xh", m)
-        yh = ws.acquire("ovf.yh", m)
-        np.take(cx, movable, out=xl, mode="clip")
-        np.take(cy, movable, out=yl, mode="clip")
-        np.add(xl, _take(db.cell_width, movable, ws, "ovf.w"), out=xh)
-        np.add(yl, _take(db.cell_height, movable, ws, "ovf.h"), out=yh)
-        one = ws.acquire("ovf.one", m)
-        one.fill(1.0)
-        plan = build_overlap_plan(grid, xl, yl, xh, yh, one, ws, "ovf")
-        mov_map = scatter_density_pooled(grid, plan, ws, "ovf.rho")
-        np.subtract(mov_map, _scaled(free_area, target_density, ws),
-                    out=mov_map)
-        np.maximum(mov_map, 0.0, out=mov_map)
-        overflow = mov_map.sum()
+    ws = workspace if workspace is not None else NullWorkspace()
+    m = movable.shape[0]
+    xl = ws.acquire("ovf.xl", m)
+    yl = ws.acquire("ovf.yl", m)
+    xh = ws.acquire("ovf.xh", m)
+    yh = ws.acquire("ovf.yh", m)
+    np.take(cx, movable, out=xl, mode="clip")
+    np.take(cy, movable, out=yl, mode="clip")
+    np.add(xl, _take(db.cell_width, movable, ws, "ovf.w"), out=xh)
+    np.add(yl, _take(db.cell_height, movable, ws, "ovf.h"), out=yh)
+    one = ws.acquire("ovf.one", m)
+    one.fill(1.0)
+    plan = build_overlap_plan(grid, xl, yl, xh, yh, one, ws, "ovf")
+    mov_map = ws.zeros("ovf.rho", grid.shape)
+    scatter_plan(plan, mov_map)
+    np.subtract(mov_map, _scaled(free_area, target_density, ws),
+                out=mov_map)
+    np.maximum(mov_map, 0.0, out=mov_map)
+    overflow = mov_map.sum()
 
     total = db.total_movable_area
     return float(overflow / total) if total > 0 else 0.0

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.geometry.bins import BinGrid
 from repro.ops import dct as _dct
-from repro.perf.workspace import Workspace
+from repro.perf.workspace import NullWorkspace, Workspace
 
 
 @dataclass
@@ -35,13 +35,18 @@ class PoissonSolver:
     the true spatial gradient of the potential regardless of bin aspect
     ratio.  ``impl`` selects the DCT implementation family ("2d", "n",
     "2n", or "naive"), reproducing the Fig. 11 comparison.
+
+    The returned maps live in ``workspace`` buffers.  The default
+    :class:`NullWorkspace` hands back freshly allocated maps on every
+    call; a caller passing a pooling :class:`Workspace` (the density
+    op shares its own) gets buffers valid until the next :meth:`solve`.
     """
 
     def __init__(self, grid: BinGrid, impl: str = "2d",
                  workspace: Workspace | None = None):
         self.grid = grid
         self.impl = impl
-        self.ws = workspace if workspace is not None else Workspace()
+        self.ws = workspace if workspace is not None else NullWorkspace()
         nx, ny = grid.nx, grid.ny
         # w_u per layout unit: basis cos(pi*u*(i+0.5)/nx) has spatial
         # frequency pi*u/(nx*bin_w) = pi*u/region_width
@@ -65,6 +70,28 @@ class PoissonSolver:
             raise ValueError(
                 f"density map shape {rho.shape} != grid {self.grid.shape}"
             )
+        if self.impl != "2d":
+            return self._solve_sequential(rho)
+        if rho.dtype != np.float64:
+            cast = self.ws.acquire("psn.rho64", rho.shape, np.float64)
+            np.copyto(cast, rho)
+            rho = cast
+        coeff = _dct.dct2d_fft2_pooled(rho, self.ws)
+        coeff *= self._kernel
+        coeff[0, 0] = 0.0
+        # the three inverse transforms run as one batched irfft2
+        # (bit-identical to the sequential idct2d / idxst_idct /
+        # idct_idxst, see repro.ops.dct.idct2d_sine_batch), so both sine
+        # inputs must be alive at once
+        bx = self.ws.acquire("psn.bx", coeff.shape, coeff.dtype)
+        by = self.ws.acquire("psn.by", coeff.shape, coeff.dtype)
+        np.multiply(coeff, self._wu, out=bx)
+        np.multiply(coeff, self._wv, out=by)
+        psi, xi_x, xi_y = _dct.idct2d_sine_batch(coeff, bx, by, self.ws)
+        return FieldSolution(potential=psi, field_x=xi_x, field_y=xi_y)
+
+    def _solve_sequential(self, rho: np.ndarray) -> FieldSolution:
+        """One transform after another, for the Fig. 11 ablation impls."""
         coeff = _dct.dct2d(np.asarray(rho, dtype=np.float64), impl=self.impl)
         coeff *= self._kernel
         coeff[0, 0] = 0.0
@@ -74,34 +101,4 @@ class PoissonSolver:
         xi_x = _dct.idxst_idct(buf, impl=self.impl)
         np.multiply(coeff, self._wv, out=buf)
         xi_y = _dct.idct_idxst(buf, impl=self.impl)
-        return FieldSolution(potential=psi, field_x=xi_x, field_y=xi_y)
-
-    def solve_captured(self, rho: np.ndarray) -> FieldSolution:
-        """:meth:`solve` with the three inverse transforms batched.
-
-        Bit-identical to :meth:`solve` (see
-        :func:`repro.ops.dct.idct2d_sine_batch`); used on the captured
-        tape's replay path.  Implementations other than "2d" have no
-        batched form and fall back to the regular solve.
-        """
-        if self.impl != "2d":
-            return self.solve(rho)
-        if rho.shape != self.grid.shape:
-            raise ValueError(
-                f"density map shape {rho.shape} != grid {self.grid.shape}"
-            )
-        if rho.dtype != np.float64:
-            cast = self.ws.acquire("psn.rho64", rho.shape, np.float64)
-            np.copyto(cast, rho)
-            rho = cast
-        coeff = _dct.dct2d_fft2_pooled(rho, self.ws)
-        coeff *= self._kernel
-        coeff[0, 0] = 0.0
-        # the sequential solve reuses one spectral buffer; here both
-        # sine inputs must be alive at once for the batched transform
-        bx = self.ws.acquire("psn.bx", coeff.shape, coeff.dtype)
-        by = self.ws.acquire("psn.by", coeff.shape, coeff.dtype)
-        np.multiply(coeff, self._wu, out=bx)
-        np.multiply(coeff, self._wv, out=by)
-        psi, xi_x, xi_y = _dct.idct2d_sine_batch(coeff, bx, by, self.ws)
         return FieldSolution(potential=psi, field_x=xi_x, field_y=xi_y)

@@ -7,11 +7,9 @@ paper), also provided by DREAMPlace:
 axis, stabilized by shifting with the net max/min.  Its gradient is the
 softmax weighting of the pins.
 
-Like the WA op, the module has two dataflows: the default pooled path
-runs allocation-free on persistent workspace buffers (sharing the
-hoisted pin precompute and the ``reduceat`` gradient-scatter plan with
-:mod:`repro.ops.wa_wirelength`), while ``pooled=False`` keeps the
-original allocate-per-call kernel.
+The op is one kernel plugged into the pin pipeline of
+:mod:`repro.ops.wa_wirelength` (hoisted pin precompute, both axes per
+call, ``reduceat`` gradient scatter, workspace buffers throughout).
 """
 
 from __future__ import annotations
@@ -19,42 +17,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.netlist.database import PlacementDB
-from repro.nn.function import Function
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 from repro.ops.wa_wirelength import (
     _axis_total,
     _build_pin_precompute,
-    _compile_pin_replay,
-    _pin_op_pooled,
+    _PinWirelengthFunction,
 )
-from repro.perf.profiler import profiled
-from repro.perf.workspace import NullWorkspace, Workspace
+from repro.perf.workspace import Workspace
 
 
-def _lse_1d(p: np.ndarray, starts: np.ndarray, weight: np.ndarray,
-            gamma, net_of_pin: np.ndarray):
+def _lse_kernel(p, op, ws, gamma):
     """Fused LSE forward/backward over net-sorted pin coordinates."""
-    seg = starts[:-1]
-    x_max = np.maximum.reduceat(p, seg)
-    x_min = np.minimum.reduceat(p, seg)
-    a_pos = np.exp((p - x_max[net_of_pin]) / gamma)
-    a_neg = np.exp(-(p - x_min[net_of_pin]) / gamma)
-    b_pos = np.add.reduceat(a_pos, seg)
-    b_neg = np.add.reduceat(a_neg, seg)
-    multi = np.diff(starts) >= 2
-    wl = gamma * (np.log(b_pos) + np.log(b_neg)) + (x_max - x_min)
-    wl = np.where(multi, wl, 0.0)
-    total = p.dtype.type((weight * wl).sum())
-    grad = (weight * multi)[net_of_pin] * (
-        a_pos / b_pos[net_of_pin] - a_neg / b_neg[net_of_pin]
-    )
-    return total, grad
-
-
-def _lse_1d_pooled(p, op, ws, gamma):
-    """The fused LSE kernel on workspace buffers (zero allocations)."""
-    num_nets = op.starts.shape[0] - 1
+    num_nets = op.seg.shape[0]
     num_pins = p.shape[0]
     seg = op.seg
     x_max = ws.acquire("lse.xmax", num_nets, p.dtype)
@@ -100,71 +75,21 @@ def _lse_1d_pooled(p, op, ws, gamma):
     return total, g
 
 
-class _LSEFunction(Function):
-    capture_safe = True
-
-    def compile_replay(self, kwargs):
-        """Tape fast path: both axes batched into one pooled kernel call."""
-        op = kwargs["op"]
-        if not op.pooled:
-            return None
-        return _compile_pin_replay(self, op, _lse_1d_pooled)
-
-    def forward(self, pos: np.ndarray, *, op: "LogSumExpWirelength"):
-        with profiled("wl.forward"):
-            n = pos.shape[0] // 2
-            pos = pos.astype(op.dtype, copy=False)
-            gamma = op.dtype.type(op.gamma)
-            if op.pooled:
-                grad, total = _pin_op_pooled(
-                    pos, n, op, op.ws, gamma, _lse_1d_pooled
-                )
-                self.save_for_backward(op, grad)
-                return np.asarray(total, dtype=op.dtype)
-            px = pos[:n][op.pin_cell_sorted] + op.pin_offset_x_sorted
-            py = pos[n:][op.pin_cell_sorted] + op.pin_offset_y_sorted
-            wl_x, gx = _lse_1d(px, op.starts, op.net_weight, gamma,
-                               op.net_of_pin)
-            wl_y, gy = _lse_1d(py, op.starts, op.net_weight, gamma,
-                               op.net_of_pin)
-            grad = np.empty(2 * n, dtype=op.dtype)
-            grad[:n] = np.bincount(op.pin_cell_sorted, weights=gx,
-                                   minlength=n)
-            grad[n:] = np.bincount(op.pin_cell_sorted, weights=gy,
-                                   minlength=n)
-            grad[:n][op.fixed_idx] = 0.0
-            grad[n:][op.fixed_idx] = 0.0
-            self.save_for_backward(op, grad)
-            return np.asarray(wl_x + wl_y, dtype=op.dtype)
-
-    def backward(self, grad_output):
-        with profiled("wl.backward"):
-            op, grad = self.saved_values
-            if not op.pooled:
-                return (np.asarray(grad_output) * grad,)
-            out = op.ws.acquire("lse.gout", grad.shape[0], grad.dtype)
-            np.multiply(grad, np.asarray(grad_output), out=out)
-            return (out,)
-
-
 class LogSumExpWirelength(Module):
     """LSE wirelength module with the same interface as the WA op."""
 
     def __init__(self, db: PlacementDB, gamma: float = 1.0,
-                 dtype=np.float64, pooled: bool = True,
-                 workspace: Workspace | None = None,
+                 dtype=np.float64, workspace: Workspace | None = None,
                  ignore_net_degree: int = 0):
         if (np.diff(db.net2pin_start) < 1).any():
             raise ValueError("LSE wirelength requires every net to have pins")
+        self.kernel = _lse_kernel
         self.gamma = float(gamma)
         self.dtype = np.dtype(dtype)
         self.num_cells = db.num_cells
-        self.pooled = bool(pooled)
         self.ignore_net_degree = int(ignore_net_degree)
-        self.ws = workspace if workspace is not None else (
-            Workspace() if pooled else NullWorkspace()
-        )
+        self.ws = workspace if workspace is not None else Workspace()
         _build_pin_precompute(self, db)
 
     def forward(self, pos: Tensor) -> Tensor:
-        return _LSEFunction.apply(pos, op=self)
+        return _PinWirelengthFunction.apply(pos, op=self)

@@ -16,17 +16,20 @@ kernel study (Fig. 10):
     net-sorted pins with segment reductions and no stored per-pass
     intermediates beyond the final cost and gradient.
 
-Each strategy has two dataflows selected by the module's ``pooled``
-flag.  The pooled dataflow (default) is allocation-free in steady
-state: every temporary lives in a persistent
+Every strategy runs one dataflow, used by eager execution and tape
+replay alike.  Both axes go through a single kernel call: the x and y
+pin problems are laid out back to back (``2P`` pins, ``2E`` net
+segments), so every segment reduction, scatter and gather processes
+the same elements in the same order as two per-axis calls would, in
+half the numpy dispatches.  Every temporary lives in a
 :class:`~repro.perf.workspace.Workspace` buffer written via ``out=``
-arguments and in-place ufuncs, iteration-invariant quantities (the
-multi-pin-net mask, the effective per-net and per-pin weights, the
-cell-grouped pin ordering that replaces ``bincount``) are hoisted into
-module precompute, and the backward pass reuses the gradient computed
-in the forward.  ``pooled=False`` keeps the original
-allocate-per-call kernels as the reference dataflow (and as the
-"before" configuration of the pooling benchmarks).
+arguments and in-place ufuncs — allocation-free in steady state on the
+default pool, freshly allocated on a
+:class:`~repro.perf.workspace.NullWorkspace` — iteration-invariant
+quantities (the multi-pin-net mask, the effective per-net and per-pin
+weights, the cell-grouped pin ordering that replaces ``bincount``) are
+hoisted into module precompute, and the backward pass reuses the
+gradient computed in the forward.
 """
 
 from __future__ import annotations
@@ -40,137 +43,32 @@ from repro.nn.function import Function
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 from repro.perf.profiler import profiled
-from repro.perf.workspace import NullWorkspace, Workspace
+from repro.perf.workspace import Workspace
 
 STRATEGIES = ("net_by_net", "atomic", "merged")
 
 
 # ---------------------------------------------------------------------------
-# reference kernels (allocate per call): all take net-sorted pin
-# coordinates and return (total wl over this axis, per-sorted-pin gradient)
-# ---------------------------------------------------------------------------
-def _wa_1d_net_by_net(p: np.ndarray, starts: np.ndarray,
-                      weight: np.ndarray, gamma: float):
-    """Reference per-net loop (the slow 'one thread per net' scheme)."""
-    total = p.dtype.type(0.0)
-    grad = np.zeros_like(p)
-    for e in range(starts.shape[0] - 1):
-        lo, hi = starts[e], starts[e + 1]
-        if hi - lo < 2:
-            continue
-        xs = p[lo:hi]
-        x_max = xs.max()
-        x_min = xs.min()
-        a_pos = np.exp((xs - x_max) / gamma)
-        a_neg = np.exp(-(xs - x_min) / gamma)
-        b_pos = a_pos.sum()
-        b_neg = a_neg.sum()
-        c_pos = (xs * a_pos).sum()
-        c_neg = (xs * a_neg).sum()
-        w = weight[e]
-        total += w * (c_pos / b_pos - c_neg / b_neg)
-        g_pos = ((1.0 + xs / gamma) * b_pos - c_pos / gamma) / (b_pos * b_pos)
-        g_neg = ((1.0 - xs / gamma) * b_neg + c_neg / gamma) / (b_neg * b_neg)
-        grad[lo:hi] = w * (g_pos * a_pos - g_neg * a_neg)
-    return total, grad
-
-
-def _wa_1d_atomic(p: np.ndarray, starts: np.ndarray,
-                  weight: np.ndarray, gamma: float,
-                  net_of_pin: np.ndarray):
-    """Algorithm 1: multi-pass pin-level scatters into net arrays."""
-    num_nets = starts.shape[0] - 1
-    dtype = p.dtype
-    # x± kernel (atomic max / atomic min)
-    x_max = np.full(num_nets, -np.inf, dtype=dtype)
-    x_min = np.full(num_nets, np.inf, dtype=dtype)
-    np.maximum.at(x_max, net_of_pin, p)
-    np.minimum.at(x_min, net_of_pin, p)
-    # a± kernel
-    a_pos = np.exp((p - x_max[net_of_pin]) / gamma)
-    a_neg = np.exp(-(p - x_min[net_of_pin]) / gamma)
-    # b± kernel (atomic add)
-    b_pos = np.zeros(num_nets, dtype=dtype)
-    b_neg = np.zeros(num_nets, dtype=dtype)
-    np.add.at(b_pos, net_of_pin, a_pos)
-    np.add.at(b_neg, net_of_pin, a_neg)
-    # c± kernel (atomic add)
-    c_pos = np.zeros(num_nets, dtype=dtype)
-    c_neg = np.zeros(num_nets, dtype=dtype)
-    np.add.at(c_pos, net_of_pin, p * a_pos)
-    np.add.at(c_neg, net_of_pin, p * a_neg)
-    # WL kernel + reduction
-    multi = np.diff(starts) >= 2
-    wl = np.where(multi, c_pos / b_pos - c_neg / b_neg, 0.0)
-    total = dtype.type((weight * wl).sum())
-    # backward kernel (eq. 6), reading intermediates from "global memory"
-    bp = b_pos[net_of_pin]
-    bn = b_neg[net_of_pin]
-    cp = c_pos[net_of_pin]
-    cn = c_neg[net_of_pin]
-    g_pos = ((1.0 + p / gamma) * bp - cp / gamma) / (bp * bp)
-    g_neg = ((1.0 - p / gamma) * bn + cn / gamma) / (bn * bn)
-    grad = (weight * multi)[net_of_pin] * (g_pos * a_pos - g_neg * a_neg)
-    return total, grad
-
-
-def _wa_1d_merged(p: np.ndarray, starts: np.ndarray,
-                  weight: np.ndarray, gamma: float,
-                  net_of_pin: np.ndarray):
-    """Algorithm 2: single fused pass using segment reductions."""
-    dtype = p.dtype
-    seg = starts[:-1]
-    x_max = np.maximum.reduceat(p, seg)
-    x_min = np.minimum.reduceat(p, seg)
-    a_pos = np.exp((p - x_max[net_of_pin]) / gamma)
-    a_neg = np.exp(-(p - x_min[net_of_pin]) / gamma)
-    pa_pos = p * a_pos
-    pa_neg = p * a_neg
-    b_pos = np.add.reduceat(a_pos, seg)
-    b_neg = np.add.reduceat(a_neg, seg)
-    c_pos = np.add.reduceat(pa_pos, seg)
-    c_neg = np.add.reduceat(pa_neg, seg)
-    multi = np.diff(starts) >= 2
-    wl = np.where(multi, c_pos / b_pos - c_neg / b_neg, 0.0)
-    total = dtype.type((weight * wl).sum())
-    bp = b_pos[net_of_pin]
-    bn = b_neg[net_of_pin]
-    cp = c_pos[net_of_pin]
-    cn = c_neg[net_of_pin]
-    g_pos = ((1.0 + p / gamma) * bp - cp / gamma) / (bp * bp)
-    g_neg = ((1.0 - p / gamma) * bn + cn / gamma) / (bn * bn)
-    grad = (weight * multi)[net_of_pin] * (g_pos * a_pos - g_neg * a_neg)
-    return total, grad
-
-
-_KERNELS: dict[str, Callable] = {
-    "net_by_net": lambda p, s, w, g, rep: _wa_1d_net_by_net(p, s, w, g),
-    "atomic": _wa_1d_atomic,
-    "merged": _wa_1d_merged,
-}
-
-
-# ---------------------------------------------------------------------------
-# pooled kernels: identical math, zero steady-state allocations.  Every
-# temporary is a named workspace buffer written with out=/in-place ufuncs.
+# kernels: all take the both-axis net-sorted pin coordinates and return
+# (total wl, per-sorted-pin gradient).  Every temporary is a named
+# workspace buffer written with out=/in-place ufuncs.
 # ---------------------------------------------------------------------------
 def _axis_total(t, op, dtype):
-    """Total WL from the per-net array, honoring a batched axis split.
+    """Total WL from the per-net array, one partial sum per axis.
 
-    On the tape-replay fast path ``op`` is a :class:`_BatchPlan` whose
-    per-net array holds the x nets followed by the y nets; summing each
-    half separately and adding keeps the reduction order — and therefore
-    every rounding — identical to two independent per-axis kernel calls.
+    The per-net array holds the x nets followed by the y nets; summing
+    each half separately and adding keeps the reduction order — and
+    therefore every rounding — that of two independent per-axis kernel
+    calls.
     """
-    split = getattr(op, "axis_split", None)
-    if split is None:
-        return dtype.type(t.sum())
     total = dtype.type(0.0)
-    total += dtype.type(t[:split].sum())
-    total += dtype.type(t[split:].sum())
+    total += dtype.type(t[:op.axis_split].sum())
+    total += dtype.type(t[op.axis_split:].sum())
     return total
-def _wa_finish_pooled(p, op, ws, a_pos, a_neg, pa,
-                      x_max, x_min, b_pos, b_neg, c_pos, c_neg, gamma):
+
+
+def _wa_finish(p, op, ws, a_pos, a_neg, pa,
+               x_max, x_min, b_pos, b_neg, c_pos, c_neg, gamma):
     """Shared WL reduction + eq. (6) gradient over net intermediates.
 
     Consumes ``x_max``/``x_min`` as scratch; returns (total, grad) with
@@ -213,7 +111,7 @@ def _wa_finish_pooled(p, op, ws, a_pos, a_neg, pa,
     return total, g
 
 
-def _wa_exponents_pooled(p, op, ws, x_max, x_min, gamma):
+def _wa_exponents(p, op, ws, x_max, x_min, gamma):
     """a± = exp(±(p - x∓)/γ) into persistent buffers."""
     num_pins = p.shape[0]
     a_pos = ws.acquire("wa.apos", num_pins, p.dtype)
@@ -229,16 +127,16 @@ def _wa_exponents_pooled(p, op, ws, x_max, x_min, gamma):
     return a_pos, a_neg
 
 
-def _wa_1d_merged_pooled(p, op, ws, gamma):
-    """Algorithm 2 on workspace buffers: reduceat for every segment op."""
-    num_nets = op.starts.shape[0] - 1
+def _wa_merged(p, op, ws, gamma):
+    """Algorithm 2: single fused pass, reduceat for every segment op."""
+    num_nets = op.seg.shape[0]
     num_pins = p.shape[0]
     seg = op.seg
     x_max = ws.acquire("wa.xmax", num_nets, p.dtype)
     x_min = ws.acquire("wa.xmin", num_nets, p.dtype)
     np.maximum.reduceat(p, seg, out=x_max)
     np.minimum.reduceat(p, seg, out=x_min)
-    a_pos, a_neg = _wa_exponents_pooled(p, op, ws, x_max, x_min, gamma)
+    a_pos, a_neg = _wa_exponents(p, op, ws, x_max, x_min, gamma)
     pa = ws.acquire("wa.pa", num_pins, p.dtype)
     b_pos = ws.acquire("wa.bpos", num_nets, p.dtype)
     b_neg = ws.acquire("wa.bneg", num_nets, p.dtype)
@@ -250,13 +148,13 @@ def _wa_1d_merged_pooled(p, op, ws, gamma):
     np.add.reduceat(pa, seg, out=c_pos)
     np.multiply(p, a_neg, out=pa)
     np.add.reduceat(pa, seg, out=c_neg)
-    return _wa_finish_pooled(p, op, ws, a_pos, a_neg, pa,
-                             x_max, x_min, b_pos, b_neg, c_pos, c_neg, gamma)
+    return _wa_finish(p, op, ws, a_pos, a_neg, pa,
+                      x_max, x_min, b_pos, b_neg, c_pos, c_neg, gamma)
 
 
-def _wa_1d_atomic_pooled(p, op, ws, gamma):
-    """Algorithm 1 on workspace buffers: ufunc.at scatters per pass."""
-    num_nets = op.starts.shape[0] - 1
+def _wa_atomic(p, op, ws, gamma):
+    """Algorithm 1: multi-pass pin-level ufunc.at scatters into net arrays."""
+    num_nets = op.seg.shape[0]
     num_pins = p.shape[0]
     x_max = ws.acquire("wa.xmax", num_nets, p.dtype)
     x_min = ws.acquire("wa.xmin", num_nets, p.dtype)
@@ -264,7 +162,7 @@ def _wa_1d_atomic_pooled(p, op, ws, gamma):
     x_min.fill(np.inf)
     np.maximum.at(x_max, op.net_of_pin, p)
     np.minimum.at(x_min, op.net_of_pin, p)
-    a_pos, a_neg = _wa_exponents_pooled(p, op, ws, x_max, x_min, gamma)
+    a_pos, a_neg = _wa_exponents(p, op, ws, x_max, x_min, gamma)
     pa = ws.acquire("wa.pa", num_pins, p.dtype)
     b_pos = ws.zeros("wa.bpos", num_nets, p.dtype)
     b_neg = ws.zeros("wa.bneg", num_nets, p.dtype)
@@ -276,17 +174,20 @@ def _wa_1d_atomic_pooled(p, op, ws, gamma):
     np.add.at(c_pos, op.net_of_pin, pa)
     np.multiply(p, a_neg, out=pa)
     np.add.at(c_neg, op.net_of_pin, pa)
-    return _wa_finish_pooled(p, op, ws, a_pos, a_neg, pa,
-                             x_max, x_min, b_pos, b_neg, c_pos, c_neg, gamma)
+    return _wa_finish(p, op, ws, a_pos, a_neg, pa,
+                      x_max, x_min, b_pos, b_neg, c_pos, c_neg, gamma)
 
 
-def _wa_1d_net_by_net_pooled(p, op, ws, gamma):
-    """Per-net loop writing into preallocated per-net scratch."""
+def _wa_net_by_net(p, op, ws, gamma):
+    """Reference per-net loop (the slow 'one thread per net' scheme).
+
+    The oracle ``atomic`` and ``merged`` are tested against.
+    """
     starts = op.starts
-    grad = ws.acquire("wa.g", p.shape[0], p.dtype)
-    grad.fill(0)
+    grad = ws.zeros("wa.g", p.shape[0], p.dtype)
     scratch = ws.acquire("wa.scratch", (3, op.max_degree), p.dtype)
-    total = p.dtype.type(0.0)
+    # one running total per axis, added at the end (see _axis_total)
+    totals = [p.dtype.type(0.0), p.dtype.type(0.0)]
     weight = op.net_weight
     for e in range(starts.shape[0] - 1):
         lo, hi = starts[e], starts[e + 1]
@@ -308,7 +209,7 @@ def _wa_1d_net_by_net_pooled(p, op, ws, gamma):
         c_pos = np.dot(xs, a_pos)
         c_neg = np.dot(xs, a_neg)
         w = weight[e]
-        total += w * (c_pos / b_pos - c_neg / b_neg)
+        totals[e >= op.axis_split] += w * (c_pos / b_pos - c_neg / b_neg)
         # g+·a+ into t, then subtract g-·a- and scale by the net weight
         np.multiply(xs, b_pos / gamma, out=t)
         t += b_pos - c_pos / gamma
@@ -321,196 +222,71 @@ def _wa_1d_net_by_net_pooled(p, op, ws, gamma):
         out *= a_neg
         np.subtract(t, out, out=out)
         out *= w
-    return total, grad
+    return totals[0] + totals[1], grad
 
 
-_POOLED_KERNELS: dict[str, Callable] = {
-    "net_by_net": _wa_1d_net_by_net_pooled,
-    "atomic": _wa_1d_atomic_pooled,
-    "merged": _wa_1d_merged_pooled,
+_KERNELS: dict[str, Callable] = {
+    "net_by_net": _wa_net_by_net,
+    "atomic": _wa_atomic,
+    "merged": _wa_merged,
 }
 
 
-class _BatchPlan:
-    """Both-axis replay plan: the x and y pin problems concatenated.
+class _PinWirelengthFunction(Function):
+    """Autograd node: pos (2*N,) -> scalar smooth wirelength.
 
-    The tape-replay fast path runs one kernel call over ``2P`` pins and
-    ``2E`` net segments instead of two calls over ``P``/``E``.  Every
-    index array is the per-axis one concatenated with its y-shifted
-    copy, so each segment reduction, scatter and gather processes
-    exactly the same elements in exactly the same order as the two
-    per-axis calls — concatenated ``reduceat``/``ufunc.at`` results are
-    bit-identical to separate ones — and :func:`_axis_total` keeps the
-    final scalar reduction per-axis as well.  Exposes the ``op``
-    attributes the pooled kernels read, so they run unmodified.
-    """
-
-    def __init__(self, op, n: int):
-        num_pins = op.pin_cell_sorted.shape[0]
-        num_nets = op.starts.shape[0] - 1
-        self.n = n
-        self.num_pins = 2 * num_pins
-        self.axis_split = num_nets
-        self.starts = np.concatenate([op.starts[:-1], num_pins + op.starts])
-        self.seg = self.starts[:-1]
-        self.net_of_pin = np.concatenate(
-            [op.net_of_pin, num_nets + op.net_of_pin])
-        self.net_weight_eff = np.concatenate(
-            [op.net_weight_eff, op.net_weight_eff])
-        self.pin_weight = np.concatenate([op.pin_weight, op.pin_weight])
-        # gather pin coordinates for both axes straight out of the
-        # (x..., y...) position vector
-        self.pin_index = np.concatenate(
-            [op.pin_cell_sorted, n + op.pin_cell_sorted])
-        self.offsets = np.concatenate(
-            [op.pin_offset_x_sorted, op.pin_offset_y_sorted])
-        self.cell_order = np.concatenate(
-            [op.cell_order, num_pins + op.cell_order])
-        self.cell_seg = np.concatenate(
-            [op.cell_seg, num_pins + op.cell_seg])
-        self.scatter_index = np.concatenate(
-            [op.cells_with_pins, n + op.cells_with_pins])
-        self.fixed_index = np.concatenate([op.fixed_idx, n + op.fixed_idx])
-        self.cell_grad_buf = np.empty(2 * op.cell_seg.shape[0],
-                                      dtype=op.dtype)
-
-
-def _pin_op_batch(pos, op, plan, ws, gamma, kernel):
-    """Both axes of the pooled pin pipeline in one batched kernel call.
-
-    The replay-only counterpart of :func:`_pin_op_pooled`: same math,
-    same rounding (see :class:`_BatchPlan`), half the numpy dispatches.
-    Returns (grad buffer of length 2n, total).
-    """
-    n = plan.n
-    grad = ws.acquire("wa.grad", 2 * n, op.dtype)
-    if plan.num_pins == 0:
-        grad.fill(0)
-        return grad, op.dtype.type(0.0)
-    p = ws.acquire("wa.p2", plan.num_pins, op.dtype)
-    np.take(pos, plan.pin_index, out=p, mode="clip")
-    p += plan.offsets
-    total, g = kernel(p, plan, ws, gamma)
-    gs = ws.acquire("wa.gsort2", plan.num_pins, op.dtype)
-    np.take(g, plan.cell_order, out=gs, mode="clip")
-    np.add.reduceat(gs, plan.cell_seg, out=plan.cell_grad_buf)
-    grad.fill(0)
-    grad[plan.scatter_index] = plan.cell_grad_buf
-    grad[plan.fixed_index] = 0.0
-    return grad, total
-
-
-def _batch_plan_for(op, n: int) -> _BatchPlan:
-    plan = getattr(op, "_batch_plan", None)
-    if plan is None or plan.n != n:
-        plan = op._batch_plan = _BatchPlan(op, n)
-    return plan
-
-
-def _compile_pin_replay(node, op, kernel):
-    """Shared ``compile_replay`` body of the WA and LSE nodes."""
-
-    def fwd(pos):
-        with profiled("wl.forward"):
-            pos = pos.astype(op.dtype, copy=False)
-            n = pos.shape[0] // 2
-            gamma = op.dtype.type(op.gamma)
-            plan = _batch_plan_for(op, n)
-            grad, total = _pin_op_batch(pos, op, plan, op.ws, gamma, kernel)
-            node.save_for_backward(op, grad)
-            return np.asarray(total, dtype=op.dtype)
-
-    return fwd, node.backward
-
-
-class _WAFunction(Function):
-    """Autograd node: pos (2*N,) -> scalar WA wirelength.
-
+    The pin pipeline of the WA and LSE ops, both axes in one pass: the
+    forward gathers pin coordinates into workspace buffers, runs
+    ``op.kernel``, and scatters the per-pin gradient to cells with the
+    precomputed cell-grouped ``reduceat`` plan (the allocation-free
+    replacement for ``bincount``); the backward scales that gradient.
     ``N`` may exceed ``db.num_cells`` when filler cells are appended to
     the position vector; fillers carry no pins and get zero gradient.
     """
 
     capture_safe = True
 
-    def compile_replay(self, kwargs):
-        """Tape fast path: both axes batched into one pooled kernel call."""
-        op = kwargs["op"]
-        if not op.pooled or op.strategy not in ("atomic", "merged"):
-            return None
-        return _compile_pin_replay(self, op, _POOLED_KERNELS[op.strategy])
-
-    def forward(self, pos: np.ndarray, *, op: "WeightedAverageWirelength"):
+    def forward(self, pos: np.ndarray, *, op):
         with profiled("wl.forward"):
-            n = pos.shape[0] // 2
+            ws = op.ws
             pos = pos.astype(op.dtype, copy=False)
-            gamma = op.dtype.type(op.gamma)
-            if op.pooled:
-                grad, total = _pin_op_pooled(
-                    pos, n, op, op.ws, gamma,
-                    _POOLED_KERNELS[op.strategy],
-                )
-                self.save_for_backward(op, grad)
-                return np.asarray(total, dtype=op.dtype)
-            x = pos[:n]
-            y = pos[n:]
-            px = (x[op.pin_cell_sorted] + op.pin_offset_x_sorted)
-            py = (y[op.pin_cell_sorted] + op.pin_offset_y_sorted)
-            kernel = _KERNELS[op.strategy]
-            wl_x, gx = kernel(px, op.starts, op.net_weight, gamma,
-                              op.net_of_pin)
-            wl_y, gy = kernel(py, op.starts, op.net_weight, gamma,
-                              op.net_of_pin)
-            grad = np.empty(2 * n, dtype=op.dtype)
-            grad[:n] = np.bincount(op.pin_cell_sorted, weights=gx,
-                                   minlength=n)
-            grad[n:] = np.bincount(op.pin_cell_sorted, weights=gy,
-                                   minlength=n)
-            grad[:n][op.fixed_idx] = 0.0
-            grad[n:][op.fixed_idx] = 0.0
+            n = pos.shape[0] // 2
+            num_pins = op.pin_cell_sorted.shape[0]
+            grad = ws.zeros("wl.grad", 2 * n, op.dtype)
             self.save_for_backward(op, grad)
-            return np.asarray(wl_x + wl_y, dtype=op.dtype)
+            if num_pins == 0:
+                return np.zeros((), dtype=op.dtype)
+            p = ws.acquire("wl.p", 2 * num_pins, op.dtype)
+            np.take(pos[:n], op.pin_cell_sorted, out=p[:num_pins],
+                    mode="clip")
+            np.take(pos[n:], op.pin_cell_sorted, out=p[num_pins:],
+                    mode="clip")
+            p += op.pin_offsets
+            total, g = op.kernel(p, op, ws, op.dtype.type(op.gamma))
+            gs = ws.acquire("wl.gsort", 2 * num_pins, op.dtype)
+            np.take(g, op.cell_order, out=gs, mode="clip")
+            cells = op.cells_with_pins
+            cell_grad = ws.acquire("wl.cellgrad", 2 * cells.shape[0],
+                                   op.dtype)
+            np.add.reduceat(gs, op.cell_seg, out=cell_grad)
+            # fixed cells are read live so a caller may re-mask the op
+            for half, cg in ((grad[:n], cell_grad[:cells.shape[0]]),
+                             (grad[n:], cell_grad[cells.shape[0]:])):
+                half[cells] = cg
+                half[op.fixed_idx] = 0.0
+            return np.asarray(total, dtype=op.dtype)
 
     def backward(self, grad_output):
         with profiled("wl.backward"):
             op, grad = self.saved_values
-            if not op.pooled:
-                return (np.asarray(grad_output) * grad,)
-            out = op.ws.acquire("wa.gout", grad.shape[0], grad.dtype)
+            out = op.ws.acquire("wl.gout", grad.shape[0], grad.dtype)
             np.multiply(grad, np.asarray(grad_output), out=out)
             return (out,)
 
 
-def _pin_op_pooled(pos, n, op, ws, gamma, kernel):
-    """Shared pooled forward for pin-based wirelength ops.
-
-    Gathers pin coordinates into pooled buffers (one axis at a time so
-    the kernel scratch is reused), runs ``kernel``, and scatters the
-    per-pin gradient to cells with the precomputed cell-grouped
-    ``reduceat`` plan (the allocation-free replacement for
-    ``bincount``).  Returns (grad buffer of length 2n, total).
-    """
-    num_pins = op.pin_cell_sorted.shape[0]
-    grad = ws.acquire("wa.grad", 2 * n, op.dtype)
-    if num_pins == 0:
-        grad.fill(0)
-        return grad, op.dtype.type(0.0)
-    total = op.dtype.type(0.0)
-    p = ws.acquire("wa.p", num_pins, op.dtype)
-    gs = ws.acquire("wa.gsort", num_pins, op.dtype)
-    for axis, offsets in ((0, op.pin_offset_x_sorted),
-                          (1, op.pin_offset_y_sorted)):
-        coords = pos[axis * n:(axis + 1) * n]
-        np.take(coords, op.pin_cell_sorted, out=p, mode="clip")
-        p += offsets
-        wl, g = kernel(p, op, ws, gamma)
-        total += wl
-        np.take(g, op.cell_order, out=gs, mode="clip")
-        half = grad[axis * n:(axis + 1) * n]
-        half.fill(0)
-        np.add.reduceat(gs, op.cell_seg, out=op.cell_grad_buf)
-        half[op.cells_with_pins] = op.cell_grad_buf
-        half[op.fixed_idx] = 0.0
-    return grad, total
+def _both_axes(per_axis: np.ndarray, shift: int = 0) -> np.ndarray:
+    """``per_axis`` followed by its copy for the y problem (+ ``shift``)."""
+    return np.concatenate([per_axis, per_axis + shift])
 
 
 def _build_pin_precompute(op, db: PlacementDB) -> None:
@@ -519,44 +295,52 @@ def _build_pin_precompute(op, db: PlacementDB) -> None:
     Shared by the WA and LSE ops: net-sorted pin maps, the multi-pin
     mask folded into the net/pin weights, and the cell-grouped pin
     ordering whose segment reduction replaces ``bincount`` in the
-    gradient scatter.
+    gradient scatter.  Every pin- or net-indexed array holds the x
+    problem followed by the y problem (index arrays shifted by the
+    per-axis length), so concatenated ``reduceat``/``ufunc.at`` calls
+    are bit-identical to two per-axis ones.
     """
     order = db.net2pin
-    op.starts = db.net2pin_start
-    op.seg = op.starts[:-1]
+    starts = db.net2pin_start
+    num_pins = order.shape[0]
+    num_nets = db.num_nets
     op.pin_cell_sorted = db.pin_cell[order]
-    op.pin_offset_x_sorted = db.pin_offset_x[order].astype(op.dtype)
-    op.pin_offset_y_sorted = db.pin_offset_y[order].astype(op.dtype)
-    op.net_weight = db.net_weight.astype(op.dtype)
+    op.pin_offsets = np.concatenate(
+        [db.pin_offset_x[order], db.pin_offset_y[order]]).astype(op.dtype)
+    op.axis_split = int(num_nets)
+    op.starts = np.concatenate([starts[:-1], num_pins + starts])
+    op.seg = op.starts[:-1]
+    net_weight = db.net_weight.astype(op.dtype)
     # high-fanout filter (DREAMPlace's ignore_net_degree): zeroing the
     # weight here removes the net from the smooth-wirelength *gradient*
-    # on every dataflow — pooled, reference, and the captured-tape
-    # replay all derive their weights from these hoisted arrays — while
-    # reported HPWL (db.hpwl) keeps its own unmasked weights
+    # while reported HPWL (db.hpwl) keeps its own unmasked weights
     limit = int(getattr(op, "ignore_net_degree", 0) or 0)
     if limit > 0:
-        op.net_weight = np.where(
-            db.net_degree <= limit, op.net_weight, 0.0
+        net_weight = np.where(
+            db.net_degree <= limit, net_weight, 0.0
         ).astype(op.dtype)
-    op.net_of_pin = np.repeat(
-        np.arange(db.num_nets, dtype=np.int64), db.net_degree
+    net_of_pin = np.repeat(
+        np.arange(num_nets, dtype=np.int64), db.net_degree
     )
+    op.net_of_pin = _both_axes(net_of_pin, num_nets)
     op.fixed_idx = np.flatnonzero(~db.movable)
     # iteration-invariant masks (hoisted out of the per-call kernels)
-    op.multi = np.diff(op.starts) >= 2
-    op.net_weight_eff = np.where(op.multi, op.net_weight, 0.0).astype(op.dtype)
-    op.pin_weight = op.net_weight_eff[op.net_of_pin]
-    op.max_degree = int(db.net_degree.max()) if db.num_nets else 0
+    multi = np.diff(starts) >= 2
+    net_weight_eff = np.where(multi, net_weight, 0.0).astype(op.dtype)
+    op.net_weight = _both_axes(net_weight)
+    op.net_weight_eff = _both_axes(net_weight_eff)
+    op.pin_weight = _both_axes(net_weight_eff[net_of_pin])
+    op.max_degree = int(db.net_degree.max()) if num_nets else 0
     # cell-grouped pin plan: pins sorted by cell, segment starts per
     # cell that has pins
     cell_order = np.argsort(op.pin_cell_sorted, kind="stable")
     cells_sorted = op.pin_cell_sorted[cell_order]
     first = np.ones(cells_sorted.shape[0], dtype=bool)
     first[1:] = cells_sorted[1:] != cells_sorted[:-1]
-    op.cell_order = cell_order
-    op.cell_seg = np.flatnonzero(first)
-    op.cells_with_pins = cells_sorted[op.cell_seg]
-    op.cell_grad_buf = np.empty(op.cell_seg.shape[0], dtype=op.dtype)
+    cell_seg = np.flatnonzero(first)
+    op.cell_order = _both_axes(cell_order, num_pins)
+    op.cell_seg = _both_axes(cell_seg, num_pins)
+    op.cells_with_pins = cells_sorted[cell_seg]
 
 
 class WeightedAverageWirelength(Module):
@@ -573,9 +357,6 @@ class WeightedAverageWirelength(Module):
         One of :data:`STRATEGIES`.
     dtype:
         ``numpy.float32`` or ``numpy.float64`` (the paper's precisions).
-    pooled:
-        Use the allocation-free workspace dataflow (default).  ``False``
-        selects the original allocate-per-call reference kernels.
     workspace:
         Optional externally owned :class:`Workspace` (to share pools
         across ops); defaults to a private one.
@@ -586,7 +367,7 @@ class WeightedAverageWirelength(Module):
 
     def __init__(self, db: PlacementDB, gamma: float = 1.0,
                  strategy: str = "merged", dtype=np.float64,
-                 pooled: bool = True, workspace: Workspace | None = None,
+                 workspace: Workspace | None = None,
                  ignore_net_degree: int = 0):
         if strategy not in STRATEGIES:
             raise ValueError(
@@ -595,15 +376,13 @@ class WeightedAverageWirelength(Module):
         if (np.diff(db.net2pin_start) < 1).any():
             raise ValueError("WA wirelength requires every net to have pins")
         self.strategy = strategy
+        self.kernel = _KERNELS[strategy]
         self.gamma = float(gamma)
         self.dtype = np.dtype(dtype)
         self.num_cells = db.num_cells
-        self.pooled = bool(pooled)
         self.ignore_net_degree = int(ignore_net_degree)
-        self.ws = workspace if workspace is not None else (
-            Workspace() if pooled else NullWorkspace()
-        )
+        self.ws = workspace if workspace is not None else Workspace()
         _build_pin_precompute(self, db)
 
     def forward(self, pos: Tensor) -> Tensor:
-        return _WAFunction.apply(pos, op=self)
+        return _PinWirelengthFunction.apply(pos, op=self)

@@ -9,7 +9,7 @@ call and numpy writes into it via ``out=`` arguments and in-place
 ufuncs, so after a warmup call the steady state performs no new large
 allocations.
 
-Contract for pooled kernels:
+Contract for kernels running on a workspace:
 
 - buffers are keyed by *name*; contents are undefined at ``acquire``
   time (use :meth:`Workspace.zeros` when a cleared buffer is needed),
@@ -19,8 +19,10 @@ Contract for pooled kernels:
   transparent when problem sizes change between calls.
 
 :class:`NullWorkspace` has the same API but allocates fresh arrays on
-every acquire — it is the "before" configuration of the pooling
-benchmarks and a debugging aid (buffer-reuse bugs disappear under it).
+every acquire: the degenerate pool.  Kernels have one dataflow, so a
+result that differs between the two pools is a buffer-aliasing bug
+(``tests/test_perf.py`` holds them bit-equal), and a caller that must
+keep results across calls (``PoissonSolver``'s default) gets fresh maps.
 """
 
 from __future__ import annotations
@@ -99,8 +101,8 @@ class Workspace:
 class NullWorkspace(Workspace):
     """Same API, but every acquire allocates fresh memory.
 
-    Used as the "allocate everything per call" baseline in the pooling
-    benchmarks, and to flush out buffer-aliasing bugs in pooled kernels.
+    The default of callers whose results must outlive the next call,
+    and the pool the tests use to flush out buffer-aliasing bugs.
     """
 
     def acquire(self, name: str, shape, dtype=np.float64) -> np.ndarray:

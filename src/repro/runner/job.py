@@ -28,8 +28,10 @@ import repro
 from repro.core.params import PlacementParams
 from repro.netlist.database import PlacementDB
 
-#: bump when the spec layout or hash recipe changes (invalidates caches)
-SPEC_SCHEMA_VERSION = 1
+#: bump when the spec layout or hash recipe changes (invalidates caches).
+#: 2: the workspace-pooling switch left ``PlacementParams``;
+#: ``density_strategy`` gained ``"flat"`` (its new default)
+SPEC_SCHEMA_VERSION = 2
 
 #: the flow stages a job may select, in flow order
 STAGES = ("gp", "lg", "dp", "route")
@@ -140,6 +142,12 @@ class JobSpec:
             raise ValueError(
                 f"job spec schema {schema} is newer than this toolkit "
                 f"understands ({SPEC_SCHEMA_VERSION})"
+            )
+        if schema < SPEC_SCHEMA_VERSION:
+            raise ValueError(
+                f"job spec schema {schema} predates this toolkit's "
+                f"({SPEC_SCHEMA_VERSION}): the parameter layout changed, "
+                "so the stored spec cannot be re-run; re-submit the job"
             )
         params = data.get("params", {})
         if not isinstance(params, PlacementParams):

@@ -40,7 +40,7 @@ class TestTopLevel:
         from repro.ops.wa_wirelength import STRATEGIES as wirelength
 
         assert set(wirelength) == {"net_by_net", "atomic", "merged"}
-        assert set(density) == {"naive", "sorted", "stamp"}
+        assert set(density) == {"naive", "sorted", "stamp", "flat"}
 
     def test_public_items_documented(self):
         """Every exported callable/class carries a docstring."""

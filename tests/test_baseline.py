@@ -54,7 +54,7 @@ class TestReplacePlacer:
     def result(self):
         from repro.benchgen import CircuitSpec, generate
 
-        db = generate(CircuitSpec(name="bl", num_cells=200, num_ios=8,
+        db = generate(CircuitSpec(name="bl", num_cells=120, num_ios=8,
                                   utilization=0.55, seed=13))
         params = PlacementParams(max_global_iters=400, detailed_passes=1)
         return db, ReplacePlacer(db, params).run()
@@ -70,6 +70,27 @@ class TestReplacePlacer:
         assert placer.params.wirelength_strategy == "net_by_net"
         assert placer.params.density_strategy == "naive"
         assert placer.params.dct_impl == "2n"
+
+    def test_gp_runs_the_naive_density_scatter(self, monkeypatch):
+        """The reference strategy reaches the per-cell loop every call."""
+        import repro.ops.density_map as density_map
+        from repro.benchgen import CircuitSpec, generate
+
+        db = generate(CircuitSpec(name="bl3", num_cells=60, seed=2))
+        naive_cells = []
+        original = density_map._scatter_naive_subset
+
+        def counting(*args):
+            naive_cells.append(len(args[7]))
+            return original(*args)
+
+        placer = ReplacePlacer(db, PlacementParams(
+            max_global_iters=3, min_global_iters=1, legalize=False))
+        monkeypatch.setattr(density_map, "_scatter_naive_subset", counting)
+        res = placer.run()
+        # every objective evaluation scatters every movable cell + filler
+        assert res.iterations == 3
+        assert sum(c >= db.num_movable for c in naive_cells) >= res.iterations
 
     def test_flow_converges_and_legal(self, result):
         db, res = result

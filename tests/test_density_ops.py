@@ -37,7 +37,7 @@ class TestScatter:
         out = scatter_density(grid, xl, yl, w, h, np.ones(50), strategy)
         np.testing.assert_allclose(out.sum(), (w * h).sum(), rtol=1e-10)
 
-    @pytest.mark.parametrize("strategy", ["sorted", "stamp"])
+    @pytest.mark.parametrize("strategy", ["sorted", "stamp", "flat"])
     def test_strategies_match_naive(self, rng, region, grid, strategy):
         xl, yl, w, h = random_cells(rng, 50, region)
         weight = rng.uniform(0.5, 2.0, size=50)
@@ -113,7 +113,7 @@ class TestGather:
         out = gather_field(grid, field, xl, yl, w, h, np.ones(30), strategy)
         np.testing.assert_allclose(out, w * h, rtol=1e-9)
 
-    @pytest.mark.parametrize("strategy", ["sorted", "stamp"])
+    @pytest.mark.parametrize("strategy", ["sorted", "stamp", "flat"])
     def test_strategies_match_naive(self, rng, region, grid, strategy):
         xl, yl, w, h = random_cells(rng, 40, region)
         field = rng.normal(size=grid.shape)
@@ -234,6 +234,18 @@ def two_cell_db(x_a=14.0, x_b=15.0):
     return netlist.compile(region)
 
 
+def mixed_cell_db():
+    """Overlapping cells of three sizes (distinct bin-span footprints)."""
+    region = PlacementRegion(0, 0, 32, 32)
+    netlist = Netlist("mixed")
+    rng = np.random.default_rng(2)
+    for i, size in enumerate([1.0, 4.0, 9.0] * 4):
+        netlist.add_cell(f"c{i}", size, size, CellKind.MOVABLE,
+                         x=float(rng.uniform(8, 14)),
+                         y=float(rng.uniform(8, 14)))
+    return netlist.compile(region)
+
+
 class TestElectricDensity:
     def test_overlapping_cells_pushed_apart(self, grid):
         db = two_cell_db()
@@ -279,17 +291,62 @@ class TestElectricDensity:
         op = ElectricDensity(db, BinGrid(db.region, 16, 16),
                              num_fillers=5, filler_width=1.0,
                              filler_height=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="too short"):
             op(Tensor(np.zeros(2 * db.num_cells)))
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_strategies_agree_on_energy(self, strategy):
+    def test_unknown_strategy_rejected(self):
         db = two_cell_db()
+        with pytest.raises(ValueError, match="unknown strategy"):
+            ElectricDensity(db, BinGrid(db.region, 16, 16), strategy="gpu")
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_strategy_selects_its_kernel(self, strategy, monkeypatch):
+        """Each name reaches its own scatter kernel, and all agree."""
+        import repro.ops.density_map as density_map
+        import repro.ops.density_op as density_op
+
+        db = mixed_cell_db()
         grid = BinGrid(db.region, 16, 16)
-        pos = Tensor(np.concatenate([db.cell_x, db.cell_y]))
-        ref = ElectricDensity(db, grid, strategy="naive")(pos).item()
-        out = ElectricDensity(db, grid, strategy=strategy)(pos).item()
-        assert out == pytest.approx(ref, rel=1e-9)
+        pos = np.concatenate([db.cell_x, db.cell_y])
+        calls = {"naive_cells": 0, "offset_passes": 0, "plans": 0}
+
+        def counted(fn, key, amount):
+            def wrapper(*args, **kwargs):
+                calls[key] += amount(args)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def run(name, count=False):
+            op = ElectricDensity(db, grid, strategy=name)
+            p = Parameter(pos.copy())
+            with monkeypatch.context() as patch:
+                if count:  # forward only: the scatter kernels
+                    patch.setattr(density_map, "_scatter_naive_subset", counted(
+                        density_map._scatter_naive_subset, "naive_cells",
+                        lambda args: len(args[7])))
+                    patch.setattr(density_map, "_scatter_offsets", counted(
+                        density_map._scatter_offsets, "offset_passes",
+                        lambda args: 1))
+                    patch.setattr(density_op, "build_overlap_plan", counted(
+                        density_op.build_overlap_plan, "plans",
+                        lambda args: 1))
+                out = op(p)
+            out.backward()
+            return out.item(), p.grad.copy()
+
+        ref_energy, ref_grad = run("naive")
+        energy, grad = run(strategy, count=True)
+        footprints = calls.pop("offset_passes")
+        assert calls == {
+            "naive_cells": db.num_movable if strategy == "naive" else 0,
+            "plans": 1 if strategy == "flat" else 0,
+        }
+        if strategy == "sorted":
+            assert footprints > 1  # one pass per distinct footprint
+        else:
+            assert footprints == (1 if strategy == "stamp" else 0)
+        assert energy == pytest.approx(ref_energy, rel=1e-9)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=1e-9)
 
 
 class TestOverflow:

@@ -75,7 +75,7 @@ class TestReplaceExtrapolate:
         from repro.baseline import ReplacePlacer
         from repro.benchgen import CircuitSpec, generate
 
-        spec = CircuitSpec(name="ex", num_cells=120, num_ios=8,
+        spec = CircuitSpec(name="ex", num_cells=60, num_ios=8,
                            utilization=0.55, seed=41)
         params = PlacementParams(max_global_iters=120, detailed=False,
                                  min_global_iters=1)

@@ -1,8 +1,9 @@
-"""Tests for the perf subsystem: workspaces, profiler, pooled kernels.
+"""Tests for the perf subsystem: workspaces, profiler, kernel pools.
 
-Covers the zero-allocation hot-loop contract: pooled kernels must agree
-with the reference kernels to near machine precision and must not
-allocate large temporaries in steady state.
+Covers the zero-allocation hot-loop contract: every GP kernel has one
+dataflow, which must give bit-equal results on a pooling ``Workspace``
+(cold and warm) and on a ``NullWorkspace`` (fresh buffers per acquire),
+and must not allocate large temporaries in steady state on the former.
 """
 
 from __future__ import annotations
@@ -180,8 +181,21 @@ class TestProfiler:
 
 
 # ---------------------------------------------------------------------------
-# cross-strategy / pooled-vs-reference regression
+# one kernel, two pools
 # ---------------------------------------------------------------------------
+_OP_NAMES = (*STRATEGIES, "lse", "density-flat")
+
+
+def _build_op(name, db, grid, dtype, ws):
+    if name == "lse":
+        return LogSumExpWirelength(db, gamma=0.8, dtype=dtype, workspace=ws)
+    if name == "density-flat":
+        return ElectricDensity(db, grid, strategy="flat", dtype=dtype,
+                               workspace=ws)
+    return WeightedAverageWirelength(db, gamma=0.8, strategy=name,
+                                     dtype=dtype, workspace=ws)
+
+
 class TestCrossStrategyRegression:
     def _run(self, op, pos):
         p = Parameter(pos.copy())
@@ -189,23 +203,34 @@ class TestCrossStrategyRegression:
         out.backward()
         return out.item(), p.grad.copy()
 
-    def test_wa_strategies_and_pooling_agree(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", _OP_NAMES)
+    def test_one_kernel_two_pools(self, name, dtype):
+        """Warm pooled buffers and fresh ones give the same bits."""
         db = random_db()
-        pos = pos_vector(db)
-        reference = None
-        for strategy in STRATEGIES:
-            for pooled in (False, True):
-                op = WeightedAverageWirelength(
-                    db, gamma=0.8, strategy=strategy, pooled=pooled
-                )
-                value, grad = self._run(op, pos)
-                if reference is None:
-                    reference = (value, grad)
-                    continue
-                assert value == pytest.approx(reference[0], rel=1e-10)
-                np.testing.assert_allclose(
-                    grad, reference[1], rtol=1e-10, atol=1e-10
-                )
+        grid = BinGrid(db.region, 16, 16)
+        pos = pos_vector(db).astype(dtype)
+        pooled = _build_op(name, db, grid, dtype, Workspace())
+        fresh = _build_op(name, db, grid, dtype, NullWorkspace())
+        runs = [self._run(pooled, pos), self._run(pooled, pos),
+                self._run(fresh, pos)]
+        assert np.isfinite(runs[0][0]) and np.abs(runs[0][1]).max() > 0
+        for value, grad in runs[1:]:
+            assert value == runs[0][0]
+            np.testing.assert_array_equal(grad, runs[0][1])
+
+    def test_density_overflow_one_kernel_two_pools(self):
+        db = random_db(seed=29)
+        grid = BinGrid(db.region, 16, 16)
+        free = fixed_free_area(db, grid)
+        ws = Workspace()
+        cold = density_overflow(db, grid, target_density=0.1,
+                                free_area=free, workspace=ws)
+        warm = density_overflow(db, grid, target_density=0.1,
+                                free_area=free, workspace=ws)
+        fresh = density_overflow(db, grid, target_density=0.1)
+        assert cold > 0
+        assert cold == warm == fresh
 
     def test_degree_one_nets_contribute_nothing(self):
         db = random_db()
@@ -226,43 +251,6 @@ class TestCrossStrategyRegression:
                 ]]
                 if (only == 1).all():
                     assert moved == pytest.approx(base)
-
-    def test_lse_pooling_agrees(self):
-        db = random_db(seed=17)
-        pos = pos_vector(db)
-        ref = None
-        for pooled in (False, True):
-            op = LogSumExpWirelength(db, gamma=0.8, pooled=pooled)
-            value, grad = self._run(op, pos)
-            if ref is None:
-                ref = (value, grad)
-                continue
-            assert value == pytest.approx(ref[0], rel=1e-10)
-            np.testing.assert_allclose(grad, ref[1], rtol=1e-10, atol=1e-10)
-
-    def test_density_pooling_agrees(self):
-        db = random_db(seed=23)
-        grid = BinGrid(db.region, 16, 16)
-        pos = pos_vector(db)
-        ref = None
-        for pooled in (False, True):
-            op = ElectricDensity(db, grid, pooled=pooled)
-            value, grad = self._run(op, pos)
-            if ref is None:
-                ref = (value, grad)
-                continue
-            assert value == pytest.approx(ref[0], rel=1e-9)
-            np.testing.assert_allclose(grad, ref[1], rtol=1e-9, atol=1e-9)
-
-    def test_density_overflow_pooled_agrees(self):
-        db = random_db(seed=29)
-        grid = BinGrid(db.region, 16, 16)
-        base = density_overflow(db, grid, target_density=0.8)
-        pooled = density_overflow(
-            db, grid, target_density=0.8,
-            free_area=fixed_free_area(db, grid), workspace=Workspace(),
-        )
-        assert pooled == pytest.approx(base, rel=1e-12)
 
     def test_shared_workspace_across_ops(self):
         """Prefixed buffer names keep ops on one pool from clobbering."""
@@ -289,10 +277,9 @@ class TestCrossStrategyRegression:
 # zero-allocation steady state
 # ---------------------------------------------------------------------------
 class TestZeroAllocation:
-    def test_pooled_merged_steady_state_allocates_nothing_large(self):
+    def test_merged_steady_state_allocates_nothing_large(self):
         db = random_db(seed=41, num_cells=1500, num_nets=1200)
-        op = WeightedAverageWirelength(db, gamma=0.9, strategy="merged",
-                                       pooled=True)
+        op = WeightedAverageWirelength(db, gamma=0.9, strategy="merged")
         pos = pos_vector(db)
         p = Parameter(pos)
         for _ in range(3):  # warm the pools and the grad buffer
@@ -315,24 +302,3 @@ class TestZeroAllocation:
         # steady state must not allocate even one pin-sized temporary
         assert peak - base < pin_bytes // 2, (peak - base, pin_bytes)
         assert current - base < 8192, (current - base,)
-
-    def test_unpooled_merged_allocates(self):
-        """The baseline really does allocate (the bench's 'before')."""
-        db = random_db(seed=41, num_cells=1500, num_nets=1200)
-        op = WeightedAverageWirelength(db, gamma=0.9, strategy="merged",
-                                       pooled=False)
-        p = Parameter(pos_vector(db))
-        for _ in range(2):
-            p.zero_grad()
-            op(p).backward()
-        pin_bytes = op.pin_cell_sorted.shape[0] * 8
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            p.zero_grad()
-            op(p).backward()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - base > 2 * pin_bytes

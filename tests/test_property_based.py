@@ -172,7 +172,7 @@ class TestDensityProperties:
         h = rng.uniform(0.1, 8.0, size=n)
         weight = rng.uniform(0.1, 2.0, size=n)
         ref = scatter_density(grid, xl, yl, w, h, weight, "naive")
-        for strategy in ("sorted", "stamp"):
+        for strategy in ("sorted", "stamp", "flat"):
             out = scatter_density(grid, xl, yl, w, h, weight, strategy)
             np.testing.assert_allclose(out, ref, atol=1e-10)
 

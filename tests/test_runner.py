@@ -38,6 +38,7 @@ from repro.runner import (
     count_events,
     execute_job,
     expand_sweep,
+    job_from_dict,
     read_events,
 )
 from repro.runner.store import (
@@ -137,6 +138,20 @@ class TestJobSpec:
         data["schema"] = 999
         with pytest.raises(ValueError):
             JobSpec.from_dict(data)
+
+    def test_from_dict_rejects_older_schema_naming_the_remedy(self):
+        """A spec.json written before a layout change is not re-run."""
+        data = gp_spec().to_dict()
+        data["schema"] = 1
+        data["params"]["workspace_pooling"] = True  # the schema-1 layout
+        with pytest.raises(ValueError, match=r"schema 1 .*re-submit"):
+            JobSpec.from_dict(data)
+
+    def test_user_json_with_retired_param_is_unknown(self):
+        with pytest.raises(ValueError, match="unknown placement parameter"
+                                             r".*workspace_pooling"):
+            job_from_dict({"design": "tiny1",
+                           "params": {"workspace_pooling": False}})
 
 
 # ----------------------------------------------------------------------

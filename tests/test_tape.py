@@ -20,6 +20,7 @@ from repro.nn import functional as F
 from repro.nn.function import Function
 from repro.nn.tape import CaptureError, TapeInvalidated, capture
 from repro.ops.electrostatics import PoissonSolver
+from repro.perf import Workspace
 
 
 def make_db(seed=7, cells=120):
@@ -158,19 +159,38 @@ class TestDeepGraph:
 
 # ----------------------------------------------------------------------
 class TestBatchedSolver:
+    """``solve(impl="2d")`` batches its transforms; the one-after-another
+    ``dct.dct2d`` / ``idct2d`` / ``idxst_idct`` / ``idct_idxst``
+    composition is its independent reference."""
+
+    @staticmethod
+    def _setup(dtype):
+        grid = BinGrid(PlacementRegion(0, 0, 64, 48), 32, 16)
+        rho = np.random.default_rng(5).random(grid.shape).astype(dtype)
+        ref = PoissonSolver(grid)._solve_sequential(rho)
+        return grid, rho, ref
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_solve_captured_bit_identical(self, dtype):
-        region = PlacementRegion(0, 0, 64, 48)
-        grid = BinGrid(region, 32, 16)
-        solver = PoissonSolver(grid)
-        rng = np.random.default_rng(5)
-        rho = rng.random(grid.shape).astype(dtype)
-        ref = solver.solve(np.asarray(rho, dtype=np.float64))
+    def test_solve_bit_identical_to_sequential(self, dtype):
+        grid, rho, ref = self._setup(dtype)
+        solver = PoissonSolver(grid, workspace=Workspace())
         for _ in range(2):  # warm buffers, then steady state
-            got = solver.solve_captured(rho)
+            got = solver.solve(rho)
         assert np.array_equal(ref.potential, got.potential)
         assert np.array_equal(ref.field_x, got.field_x)
         assert np.array_equal(ref.field_y, got.field_y)
+
+    def test_default_solver_returns_fresh_maps(self):
+        """No workspace passed: successive results must not alias."""
+        grid, rho, ref = self._setup(np.float64)
+        solver = PoissonSolver(grid)
+        first = solver.solve(rho)
+        second = solver.solve(2.0 * rho)
+        for name in ("potential", "field_x", "field_y"):
+            a, b = getattr(first, name), getattr(second, name)
+            assert not np.shares_memory(a, b)
+            assert np.array_equal(a, getattr(ref, name))
+            np.testing.assert_allclose(b, 2.0 * a, rtol=1e-12, atol=1e-12)
 
 
 # ----------------------------------------------------------------------
