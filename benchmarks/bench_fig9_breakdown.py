@@ -15,6 +15,8 @@ from _support import get_design, once, print_header, print_row, record
 from repro.bookshelf import read_bookshelf, write_bookshelf
 from repro.core import DreamPlacer, GlobalPlacer, PlacementParams
 from repro.nn import Parameter
+from repro.obs import Tracer
+from repro.perf import op_stats
 
 
 def test_fig9a_flow_breakdown(benchmark):
@@ -57,36 +59,34 @@ def test_fig9b_forward_backward_split(benchmark):
         pos.zero_grad()
         op(pos).backward()
 
-    # warm up, then measure via the op-level profiler (the same hooks
-    # `repro place --profile` reports)
+    # warm up, then measure via the kernels' own spans (the view
+    # `repro place --profile` prints)
     run_op(objective.wirelength)
     run_op(objective.density)
-    from repro.perf import Profiler
-
-    with Profiler() as prof:
+    with Tracer() as tracer:
         for _ in range(5):
             run_op(objective.wirelength)
             run_op(objective.density)
     once(benchmark, lambda: run_op(objective.density))
 
-    stats = prof.as_dict()
-    wl = sum(s["self_seconds"] for name, s in stats.items()
+    stats = op_stats(tracer.trace.spans)
+    wl = sum(s.self_seconds for name, s in stats.items()
              if name.startswith("wl."))
-    density = sum(s["self_seconds"] for name, s in stats.items()
+    density = sum(s.self_seconds for name, s in stats.items()
                   if name.startswith("density."))
     total = wl + density
     print_header(
         "Fig. 9(b) analog: one GP forward+backward pass (bigblue4)",
         ["op", "share"],
     )
-    for name, s in sorted(stats.items(), key=lambda kv: -kv[1]["self_seconds"]):
-        print_row([name, f"{s['self_seconds'] / total:.1%}"])
+    for name, s in sorted(stats.items(), key=lambda kv: -kv[1].self_seconds):
+        print_row([name, f"{s.self_seconds / total:.1%}"])
     print_row(["wirelength (all)", f"{wl / total:.1%}"])
     print_row(["density (all)", f"{density / total:.1%}"])
     print("-- paper: density 73.4%, wirelength 26.5%")
     record("fig9_breakdown", {
         "part": "fwd_bwd", "wirelength_share": wl / total,
         "density_share": density / total,
-        "ops": {name: s["self_seconds"] for name, s in stats.items()},
+        "ops": {name: s.self_seconds for name, s in stats.items()},
     })
     assert density > wl

@@ -67,6 +67,9 @@ def fmt(value, digits=3):
         if 0 < abs(value) < 0.01:
             return f"{value:.2e}"
         return f"{value:.{digits}f}"
+    if isinstance(value, dict):  # e.g. Fig. 9(b)'s per-op self seconds
+        return "{" + ", ".join(
+            f"{k}={fmt(v, digits)}" for k, v in value.items()) + "}"
     return str(value)
 
 

@@ -9,7 +9,6 @@ as the baseline for every speedup table.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,12 +16,13 @@ import numpy as np
 from repro.baseline.b2b import bound2bound_place
 from repro.core.global_place import GlobalPlacer
 from repro.core.params import PlacementParams
-from repro.core.placer import StageTimes
+from repro.core.placer import StageTimes, _stage
 from repro.dp.detailed_placer import DetailedPlacer
 from repro.lg.abacus import abacus_legalize
 from repro.lg.checker import LegalityReport, check_legal
 from repro.lg.tetris import tetris_legalize
 from repro.netlist.database import PlacementDB
+from repro.obs.trace import trace_span
 
 
 @dataclass
@@ -86,9 +86,8 @@ class ReplacePlacer:
         """Average wall-clock of one reference-kernel GP iteration."""
         placer = GlobalPlacer(self.db, self.params)
         placer.set_positions(x0, y0)
-        start = time.perf_counter()
-        placer.place(max_iters=self.sample_iterations)
-        return (time.perf_counter() - start) / self.sample_iterations
+        sample = placer.place(max_iters=self.sample_iterations)
+        return sample.runtime / self.sample_iterations
 
     def run(self, detailed: bool | None = None) -> ReplaceResult:
         params = self.params
@@ -96,12 +95,12 @@ class ReplacePlacer:
         times = StageTimes()
 
         # GP-IP: bound-to-bound quadratic initial placement
-        start = time.perf_counter()
-        x0, y0 = bound2bound_place(
-            db, iterations=self.b2b_iterations,
-            rng=np.random.default_rng(params.seed),
-        )
-        init_time = time.perf_counter() - start
+        with trace_span("gp.b2b", iterations=self.b2b_iterations) as b2b:
+            x0, y0 = bound2bound_place(
+                db, iterations=self.b2b_iterations,
+                rng=np.random.default_rng(params.seed),
+            )
+        init_time = b2b.seconds
 
         # GP-Nonlinear with the reference kernels, warm-started from B2B
         if self.timing_mode == "extrapolate":
@@ -116,34 +115,31 @@ class ReplacePlacer:
             gp = placer.place()
             nonlinear_time = per_iter * gp.iterations
         else:
-            start = time.perf_counter()
             placer = GlobalPlacer(db, params)
             placer.set_positions(x0, y0)
             gp = placer.place()
-            nonlinear_time = time.perf_counter() - start
+            nonlinear_time = gp.runtime
         times.global_place = init_time + nonlinear_time
         x, y = gp.x.copy(), gp.y.copy()
         hpwl_global = db.hpwl(x, y)
 
         legality = None
         if params.legalize:
-            start = time.perf_counter()
-            # NTUplace3-style legalizer: no row windowing (full scan)
-            desired_x, desired_y = x.copy(), y.copy()
-            lx, ly, row_of_cell = tetris_legalize(
-                db, x, y, row_window=db.region.num_rows,
-            )
-            x, y = abacus_legalize(db, lx, ly, row_of_cell,
-                                   desired_x=desired_x)
-            times.legalize = time.perf_counter() - start
+            with _stage(times, "legalize", "stage.lg"):
+                # NTUplace3-style legalizer: no row windowing (full scan)
+                desired_x, desired_y = x.copy(), y.copy()
+                lx, ly, row_of_cell = tetris_legalize(
+                    db, x, y, row_window=db.region.num_rows,
+                )
+                x, y = abacus_legalize(db, lx, ly, row_of_cell,
+                                       desired_x=desired_x)
             legality = check_legal(db, x, y)
 
         run_dp = params.detailed if detailed is None else detailed
         if params.legalize and run_dp:
-            start = time.perf_counter()
-            dp = DetailedPlacer(db, passes=params.detailed_passes)
-            x, y, _ = dp.run(x, y)
-            times.detailed = time.perf_counter() - start
+            with _stage(times, "detailed", "stage.dp"):
+                dp = DetailedPlacer(db, passes=params.detailed_passes)
+                x, y, _ = dp.run(x, y)
             legality = check_legal(db, x, y)
 
         db.set_positions(x, y)

@@ -93,24 +93,24 @@ def _cmd_place(args) -> int:
     if args.metrics_out:
         registry = MetricsRegistry()
         on_iteration = IterationRecorder(registry)
-    tracer = (Tracer(process_label="repro place")
-              if args.trace_out else None)
+    # the --profile table and the --trace-out file are two views of
+    # the same spans
+    profile = args.profile or args.profile_alloc
+    tracer = (Tracer(process_label="repro place",
+                     trace_alloc=args.profile_alloc)
+              if args.trace_out or profile else None)
 
     print(f"placing {db} ...")
     with (tracer if tracer is not None else contextlib.nullcontext()):
-        if args.profile or args.profile_alloc:
-            from repro.perf import Profiler
+        result = DreamPlacer(db, params).run(on_iteration=on_iteration)
+    if profile:
+        from repro.perf.profiler import closure_split_line, op_stats, table
 
-            with Profiler(trace_alloc=args.profile_alloc) as prof:
-                result = DreamPlacer(db, params).run(
-                    on_iteration=on_iteration)
-            print(prof.table(title="per-op breakdown (Fig. 9 style)"))
-            split = prof.closure_split_line()
-            if split is not None:
-                print(split)
-        else:
-            result = DreamPlacer(db, params).run(
-                on_iteration=on_iteration)
+        stats = op_stats(tracer.trace.spans)
+        print(table(stats, title="per-op breakdown (Fig. 9 style)"))
+        split = closure_split_line(stats)
+        if split is not None:
+            print(split)
     print(f"HPWL     : {result.hpwl_final:,.0f} "
           f"(GP {result.hpwl_global:,.0f}, LG {result.hpwl_legal:,.0f})")
     print(f"overflow : {result.overflow:.4f} after {result.iterations} iters")
@@ -139,7 +139,7 @@ def _cmd_place(args) -> int:
         print(f"wrote    : {write_placement_svg(db, args.svg)}")
     if registry is not None:
         print(f"wrote    : {registry.save_prometheus(args.metrics_out)}")
-    if tracer is not None:
+    if args.trace_out:
         print(f"wrote    : {tracer.trace.save(args.trace_out)}")
     return 0
 

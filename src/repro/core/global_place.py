@@ -8,7 +8,6 @@ annealing and density-weight updating until the overflow target is met.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +44,6 @@ from repro.ops.density_overflow import density_overflow, fixed_free_area
 from repro.ops.lse_wirelength import LogSumExpWirelength
 from repro.ops.wa_wirelength import WeightedAverageWirelength
 from repro.obs.trace import trace_span
-from repro.perf.profiler import profiled
 from repro.perf.workspace import Workspace
 
 
@@ -258,12 +256,12 @@ class GlobalPlacer:
         )
 
     def hpwl(self) -> float:
-        with profiled("gp.hpwl"):
+        with trace_span("gp.hpwl"):
             x, y = self._positions()
             return self.db.hpwl(x, y)
 
     def overflow(self) -> float:
-        with profiled("gp.overflow"):
+        with trace_span("gp.overflow"):
             if self._free_area is None:
                 # fixed cells never move: rasterize them once
                 self._free_area = fixed_free_area(self.db, self.grid)
@@ -382,48 +380,50 @@ class GlobalPlacer:
         params = self.params
         max_iters = params.max_global_iters if max_iters is None else max_iters
         stop = params.stop_overflow if stop_overflow is None else stop_overflow
-        start = time.perf_counter()
-        loop = self._loop = self._begin(stop, monitor, resume_state)
-        closure = self._make_closure()
-        converged = diverged = False
+        with trace_span("gp.place") as place:
+            loop = self._loop = self._begin(stop, monitor, resume_state)
+            closure = self._make_closure()
+            converged = diverged = False
 
-        for iteration in range(loop.iteration + 1, max_iters + 1):
-            with trace_span("gp.iteration", iteration=iteration) as span:
-                loop.iteration = iteration
-                loss = self._step(loop, closure)
-                status = self._measure(loop, loss, span)
-                rollback = status is IterationStatus.NON_FINITE or (
-                    status is IterationStatus.DIVERGING
-                    and iteration > params.min_global_iters
-                )
-                if rollback:
-                    if not self._recover(loop, status):
-                        diverged = True
-                        break
-                else:
-                    self._schedule(loop)
-                # the hook runs after the rollback or the gamma/lambda
-                # updates, so a checkpoint captured in it resumes
-                # directly into the next iteration
-                if on_iteration is not None:
-                    on_iteration(self, {
-                        "iteration": iteration, "hpwl": loop.hpwl,
-                        "overflow": loop.overflow, "status": status.value,
-                        "recoveries": loop.recoveries,
-                    })
-                if rollback:
-                    continue
-                if iteration >= params.min_global_iters:
-                    if loop.overflow <= stop:
-                        converged = True
-                        break
-                    # plateau guard: overflow stopped improving well
-                    # above the target — further lambda growth only
-                    # degrades wirelength
-                    if loop.monitor.plateau_exceeded:
-                        break
+            for iteration in range(loop.iteration + 1, max_iters + 1):
+                with trace_span("gp.iteration", iteration=iteration) as span:
+                    loop.iteration = iteration
+                    loss = self._step(loop, closure)
+                    status = self._measure(loop, loss, span)
+                    rollback = status is IterationStatus.NON_FINITE or (
+                        status is IterationStatus.DIVERGING
+                        and iteration > params.min_global_iters
+                    )
+                    if rollback:
+                        if not self._recover(loop, status):
+                            diverged = True
+                            break
+                    else:
+                        self._schedule(loop)
+                    # the hook runs after the rollback or the gamma/lambda
+                    # updates, so a checkpoint captured in it resumes
+                    # directly into the next iteration
+                    if on_iteration is not None:
+                        on_iteration(self, {
+                            "iteration": iteration, "hpwl": loop.hpwl,
+                            "overflow": loop.overflow, "status": status.value,
+                            "recoveries": loop.recoveries,
+                        })
+                    if rollback:
+                        continue
+                    if iteration >= params.min_global_iters:
+                        if loop.overflow <= stop:
+                            converged = True
+                            break
+                        # plateau guard: overflow stopped improving well
+                        # above the target — further lambda growth only
+                        # degrades wirelength
+                        if loop.monitor.plateau_exceeded:
+                            break
 
-        return self._finish(loop, stop, converged, diverged, start)
+            result = self._finish(loop, stop, converged, diverged)
+        result.runtime = place.seconds
+        return result
 
     def _begin(self, stop: float, monitor: ConvergenceMonitor | None,
                resume_state: dict | None) -> GpLoopState:
@@ -483,7 +483,7 @@ class GlobalPlacer:
             self.pos.zero_grad()
             tape = self._tape
             if tape is not None:
-                with profiled("gp.replay"):
+                with trace_span("gp.replay"):
                     try:
                         loss = tape.replay()
                     except TapeInvalidated:
@@ -496,9 +496,9 @@ class GlobalPlacer:
                     obj.last_density = tape.watched("density")
                     return loss
             if not graph_capture or not self._capture_ok:
-                with profiled("gp.eager"):
+                with trace_span("gp.eager"):
                     return eager_closure()
-            with profiled("gp.graph_build"):
+            with trace_span("gp.graph_build"):
                 loss, self._tape = capture(eager_closure)
             # an untapeable graph (e.g. a custom wirelength op that is
             # not capture-safe) permanently falls back to eager mode
@@ -509,7 +509,7 @@ class GlobalPlacer:
 
     def _step(self, loop: GpLoopState, closure):
         """One optimizer step, projected back into the clamp bounds."""
-        with profiled("gp.step"):
+        with trace_span("gp.step"):
             loss = loop.optimizer.step(closure)
             loop.optimizer.project(self._clamp)
             if loop.scheduler is not None:
@@ -535,13 +535,12 @@ class GlobalPlacer:
             loss=None if loss is None else float(loss.item()),
             grad=self.pos.grad, pos=self.pos.data,
         )
-        if span is not None:
-            # NaN is not valid JSON: non-finite iterates carry their
-            # status, finite ones the actual metrics
-            if math.isfinite(loop.hpwl):
-                span["hpwl"] = loop.hpwl
-                span["overflow"] = loop.overflow
-            span["status"] = status.value
+        # NaN is not valid JSON: non-finite iterates carry their
+        # status, finite ones the actual metrics
+        if math.isfinite(loop.hpwl):
+            span["hpwl"] = loop.hpwl
+            span["overflow"] = loop.overflow
+        span["status"] = status.value
         return status
 
     def _recover(self, loop: GpLoopState, status: IterationStatus) -> bool:
@@ -552,7 +551,7 @@ class GlobalPlacer:
                 and loop.recoveries < params.max_recoveries):
             return False
         snap = loop.best_snap
-        with profiled("gp.rollback"):
+        with trace_span("gp.rollback"):
             self._restore_snapshot(
                 snap, loop.optimizer, loop.scheduler, loop.weight,
                 lambda_damping=params.recovery_lambda_damping,
@@ -574,7 +573,7 @@ class GlobalPlacer:
         lambda for the next step."""
         iteration, hpwl, overflow = loop.iteration, loop.hpwl, loop.overflow
         if loop.monitor.progress_improved:
-            with profiled("gp.snapshot"):
+            with trace_span("gp.snapshot"):
                 loop.best_snap = self._capture_snapshot(
                     iteration, hpwl, overflow,
                     loop.optimizer, loop.scheduler, loop.weight,
@@ -594,7 +593,7 @@ class GlobalPlacer:
             )
 
     def _finish(self, loop: GpLoopState, stop: float, converged: bool,
-                diverged: bool, start: float) -> GlobalPlaceResult:
+                diverged: bool) -> GlobalPlaceResult:
         """Pick the positions to hand back and close the loop."""
         # never hand back a worse answer than the best checkpoint: a
         # diverged run falls back to the lowest-wirelength iterate, any
@@ -622,7 +621,7 @@ class GlobalPlacer:
             hpwl=final_hpwl,
             overflow=overflow,
             iterations=loop.iteration,
-            runtime=time.perf_counter() - start,
+            runtime=0.0,  # place() fills it from its span
             converged=converged,
             hpwl_trace=loop.hpwl_trace,
             overflow_trace=loop.overflow_trace,

@@ -48,7 +48,6 @@ from repro.core.rounds import GpRound, run_rounds
 from repro.netlist.coarsen import CoarseLevel, coarsen
 from repro.netlist.database import PlacementDB
 from repro.obs.trace import trace_span
-from repro.perf.profiler import profiled
 
 
 def build_levels(db: PlacementDB, params: PlacementParams,
@@ -66,8 +65,7 @@ def build_levels(db: PlacementDB, params: PlacementParams,
         prev = levels[-1]
         if prev.db.num_movable <= params.multilevel_min_cells:
             break
-        with trace_span("gp.coarsen", level=len(levels)), \
-                profiled("gp.coarsen"):
+        with trace_span("gp.coarsen", level=len(levels)):
             step = coarsen(prev.db, params.coarsen_ratio,
                            fences=prev.fences)
         if step.identity:
@@ -172,7 +170,7 @@ def level_rounds(db: PlacementDB, params: PlacementParams, fences=None,
             return
         result = yield rnd
         state = None  # only the first round issued is a resumed one
-        with trace_span("gp.prolong", level=level), profiled("gp.prolong"):
+        with trace_span("gp.prolong", level=level):
             warm = stack.prolong(result.x, result.y)
         level -= 1
 

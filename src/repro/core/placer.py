@@ -8,7 +8,6 @@ per-stage timing matching the paper's runtime tables.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
@@ -45,12 +44,11 @@ class StageTimes:
 
 @contextmanager
 def _stage(times: StageTimes, field: str, span_name: str, **attrs):
-    """Run a flow stage under a trace span, adding its wall-clock
-    seconds to ``times.<field>``; yields the span (or ``None``)."""
-    start = time.perf_counter()
+    """Run a flow stage under a trace span and add the span's seconds
+    to ``times.<field>``; yields the span."""
     with trace_span(span_name, **attrs) as span:
         yield span
-    setattr(times, field, getattr(times, field) + time.perf_counter() - start)
+    setattr(times, field, getattr(times, field) + span.seconds)
 
 
 @dataclass
@@ -112,8 +110,7 @@ class DreamPlacer:
         """Post-stage legality check; the gate raises on violations."""
         with trace_span(f"check.{stage}") as span:
             report = check_legal(self.db, x, y, fences=self.fences)
-            if span is not None:
-                span.update(report.as_dict())
+            span.update(report.as_dict())
         if self.params.legality_gate and not report.legal:
             raise LegalityError(stage, report)
         return report

@@ -19,8 +19,7 @@ restores that round's loop state and its own totals from the same dict.
 
 from __future__ import annotations
 
-import time
-from contextlib import ExitStack, closing
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +29,6 @@ from repro.core.global_place import GlobalPlacer, GlobalPlaceResult
 from repro.core.params import PlacementParams
 from repro.netlist.database import PlacementDB
 from repro.obs.trace import trace_span
-from repro.perf.profiler import profiled
 
 
 @dataclass
@@ -46,7 +44,7 @@ class GpRound:
     level: int = 0
     #: keys added to every ``on_iteration`` info and to the round's span
     tags: dict = field(default_factory=dict)
-    #: trace span / profiler op around the round (``None``: neither)
+    #: trace span around the round (``None``: none)
     span: str | None = None
     #: where the schedule stands, stamped into the round's checkpoints
     extra: dict = field(default_factory=dict)
@@ -72,7 +70,6 @@ def run_rounds(schedule, on_iteration=None,
     while recoveries add up over every round.  Completed rounds never
     replay on resume: their totals and history ride in the checkpoint.
     """
-    start = time.perf_counter()
     state = resume_state or {}
     done = [dict(entry) for entry in state.get("multilevel_done", [])]
     recoveries = int(state.get("multilevel_recoveries", 0))
@@ -102,12 +99,9 @@ def run_rounds(schedule, on_iteration=None,
                         "recoveries": info["recoveries"] + _carried,
                     })
             db = placer.db
-            with ExitStack() as spans:
-                if rnd.span is not None:
-                    spans.enter_context(trace_span(
-                        rnd.span, cells=db.num_movable, nets=db.num_nets,
-                        pins=db.num_pins, **rnd.tags))
-                    spans.enter_context(profiled(rnd.span))
+            with (nullcontext() if rnd.span is None else trace_span(
+                    rnd.span, cells=db.num_movable, nets=db.num_nets,
+                    pins=db.num_pins, **rnd.tags)):
                 result = placer.place(
                     stop_overflow=rnd.stop_overflow, monitor=rnd.monitor,
                     on_iteration=hook, resume_state=resume_state,
@@ -138,8 +132,7 @@ def run_rounds(schedule, on_iteration=None,
         result.recoveries = recoveries
         if "level" in rnd.tags:
             result.levels = done
-        if stage is not None:
-            stage.update(iterations=result.iterations,
-                         converged=result.converged, levels=len(done))
-    result.runtime = time.perf_counter() - start
+        stage.update(iterations=result.iterations,
+                     converged=result.converged, levels=len(done))
+    result.runtime = stage.seconds
     return result

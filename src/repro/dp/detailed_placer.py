@@ -11,7 +11,7 @@ from repro.dp.incremental import IncrementalHpwl
 from repro.dp.independent_set import independent_set_matching
 from repro.dp.local_reorder import local_reorder
 from repro.netlist.database import PlacementDB
-from repro.perf.profiler import profiled
+from repro.obs.trace import trace_span
 
 
 @dataclass
@@ -52,16 +52,16 @@ class DetailedPlacer:
         state = IncrementalHpwl(self.db, x, y)
         stats = DetailedPlaceStats(hpwl_before=state.total_hpwl())
         for _ in range(self.passes):
-            with profiled("dp.global_swap"):
+            with trace_span("dp.global_swap"):
                 stats.swaps.append(
                     global_swap(self.db, state, fence_id=self.fence_id)
                 )
-            with profiled("dp.local_reorder"):
+            with trace_span("dp.local_reorder"):
                 stats.reorders.append(local_reorder(
                     self.db, state, self.reorder_window,
                     fence_id=self.fence_id,
                 ))
-            with profiled("dp.independent_set"):
+            with trace_span("dp.independent_set"):
                 stats.matchings.append(independent_set_matching(
                     self.db, state, self.group_size,
                     fence_id=self.fence_id,

@@ -16,7 +16,7 @@ from repro.lg.macro_legalize import legalize_macros, movable_macro_index
 from repro.lg.rows import build_row_segments, clip_segments_to_fence
 from repro.lg.tetris import tetris_legalize
 from repro.netlist.database import PlacementDB
-from repro.perf.profiler import profiled
+from repro.obs.trace import trace_span
 
 
 def _fence_blocker_rects(db: PlacementDB, fences) -> list[tuple]:
@@ -58,7 +58,7 @@ def legalize(db: PlacementDB, x: np.ndarray | None = None,
                 raise NotImplementedError(
                     "movable macros inside fence regions are not supported"
                 )
-        with profiled("lg.macros"):
+        with trace_span("lg.macros"):
             mx, my, _ = legalize_macros(db, desired_x, desired_y)
         desired_x[macros] = mx[macros]
         desired_y[macros] = my[macros]
@@ -72,10 +72,10 @@ def legalize(db: PlacementDB, x: np.ndarray | None = None,
         work = db
 
     if not fences:
-        with profiled("lg.tetris"):
+        with trace_span("lg.tetris"):
             lx, ly, row_of_cell = tetris_legalize(work, desired_x, desired_y)
         if refine:
-            with profiled("lg.abacus"):
+            with trace_span("lg.abacus"):
                 lx, ly = abacus_legalize(
                     work, lx, ly, row_of_cell, desired_x=desired_x,
                 )
@@ -99,7 +99,7 @@ def legalize(db: PlacementDB, x: np.ndarray | None = None,
         lx = desired_x.copy()
         ly = desired_y.copy()
         row_of_cell = np.full(work.num_cells, -1, dtype=np.int64)
-        with profiled("lg.tetris"):
+        with trace_span("lg.tetris"):
             for cells, segments in groups:
                 if cells.size == 0:
                     continue
@@ -108,7 +108,7 @@ def legalize(db: PlacementDB, x: np.ndarray | None = None,
                 )
                 row_of_cell[cells] = rows[cells]
         if refine:
-            with profiled("lg.abacus"):
+            with trace_span("lg.abacus"):
                 for cells, segments in groups:
                     if cells.size == 0:
                         continue

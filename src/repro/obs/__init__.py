@@ -1,14 +1,16 @@
 """Unified observability layer: tracing and metrics.
 
-The profiler (:mod:`repro.perf`) answers "where did *this run* spend
-its time" as a text table; the run store's event log answers "what
-happened to *this job*" as JSONL.  ``repro.obs`` is the layer both feed
-into for machine-readable, cross-run observability:
+The run store's event log answers "what happened to *this job*" as
+JSONL.  ``repro.obs`` is the layer for machine-readable, cross-run
+observability, and the one place that measures time:
 
-- :mod:`repro.obs.trace` — a span tracer (:func:`trace_span`,
-  :class:`Tracer`) with monotonic timing and Chrome trace-event JSON
-  export (``chrome://tracing`` / Perfetto).  Profiled kernel ops, GP
-  iterations, flow stages and runner jobs all open spans.
+- :mod:`repro.obs.trace` — :class:`trace_span` is the only timer in
+  ``repro``: kernel ops, GP iterations, flow stages, the router and
+  runner jobs all open spans, every reported duration (``StageTimes``,
+  ``runtime`` fields) is a span's, and a :class:`Tracer` collects them
+  with recorded nesting for Chrome trace-event JSON export
+  (``chrome://tracing`` / Perfetto) and for the ``--profile`` table
+  (:mod:`repro.perf.profiler`, a pure view over the spans).
 - :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges and fixed-bucket histograms with Prometheus-text and JSON
   exposition, mergeable across worker processes so a sweep aggregates

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.perf.workspace import NullWorkspace
+
 # (kind, sizes) -> precomputed twiddles / index maps / sign vectors
 _PLAN_CACHE: dict = {}
 
@@ -48,7 +50,7 @@ __all__ = [
     "idxst_n",
     "dct2d_fft2", "idct2d_fft2",
     "dct2d", "idct2d", "idxst_idct", "idct_idxst",
-    "dct2d_fft2_pooled", "idct2d_sine_batch",
+    "idct2d_sine_batch",
 ]
 
 
@@ -217,58 +219,34 @@ def _dct2d_plan(n1: int, n2: int):
     return w1, np.conj(w1), w2, wrap1
 
 
-def dct2d_fft2(x: np.ndarray) -> np.ndarray:
+def dct2d_fft2(x: np.ndarray, ws=None) -> np.ndarray:
     """2-D DCT via one 2-D real FFT (Algorithm 4, 2D_DCT).
 
     The reordered input is real, so only the one-sided ``rfft2``
     spectrum is computed; output columns beyond the Nyquist column
     follow from ``T[k1, k2] = conj(T[k1, N2-k2])`` where ``T`` is the
     axis-0-symmetrized spectrum of eq. (11).
+
+    Every intermediate lives in a ``ws`` buffer: with the Poisson
+    solver's pooled workspace the float64 result is a persistent buffer
+    valid until the next call, without one the buffers are fresh.  The
+    transform runs in float64 and is cast back to ``x.dtype``.
     """
+    ws = NullWorkspace() if ws is None else ws
     x = np.asarray(x)
     n1, n2 = x.shape
     _check_even(n1)
     _check_even(n2)
+    h1, h2 = n1 // 2, n2 // 2
+    w1, w1c, w2, wrap1 = _plan(("dct2d", n1, n2), lambda: _dct2d_plan(n1, n2))
     # eq. (10): 2-D even/odd reordering
-    pre = np.empty_like(x)
-    h1, h2 = n1 // 2, n2 // 2
-    pre[:h1 + (n1 % 2), :h2 + (n2 % 2)] = x[0::2, 0::2]
-    pre[h1:, :h2] = x[::-1, :][0::2, 0::2]
-    pre[:h1, h2:] = x[:, ::-1][0::2, 0::2]
-    pre[h1:, h2:] = x[::-1, ::-1][0::2, 0::2]
-    spectrum = np.fft.rfft2(pre)  # (n1, h2 + 1)
-    # eq. (11) postprocess on the half spectrum
-    w1, w1c, w2, wrap1 = _plan(("dct2d", n1, n2), lambda: _dct2d_plan(n1, n2))
-    # complex-multiply operands are bound to names so numpy cannot
-    # elide them into aliased in-place products (see idct2d_fft2)
-    wrapped = spectrum[wrap1, :]
-    half = w1 * spectrum + w1c * wrapped
-    out = np.empty((n1, n2), dtype=np.float64)
-    out[:, :h2 + 1] = 0.5 * np.real(w2[:, :h2 + 1] * half)
-    tail = np.conj(half[:, h2 - 1:0:-1])
-    out[:, h2 + 1:] = 0.5 * np.real(w2[:, h2 + 1:] * tail)
-    return out.astype(x.dtype)
-
-
-def dct2d_fft2_pooled(x: np.ndarray, ws) -> np.ndarray:
-    """:func:`dct2d_fft2` on workspace buffers (the Poisson solver's path).
-
-    Bit-identical: same ufuncs on the same operands in the same order,
-    written into persistent buffers instead of fresh arrays.  ``x`` must
-    be float64; the result is a pooled buffer valid until the next call.
-    """
-    x = np.asarray(x)
-    n1, n2 = x.shape
-    _check_even(n1)
-    _check_even(n2)
-    h1, h2 = n1 // 2, n2 // 2
-    w1, w1c, w2, wrap1 = _plan(("dct2d", n1, n2), lambda: _dct2d_plan(n1, n2))
     pre = ws.acquire("dctf.pre", (n1, n2), np.float64)
     pre[:h1, :h2] = x[0::2, 0::2]
     pre[h1:, :h2] = x[::-1, :][0::2, 0::2]
     pre[:h1, h2:] = x[:, ::-1][0::2, 0::2]
     pre[h1:, h2:] = x[::-1, ::-1][0::2, 0::2]
-    spectrum = np.fft.rfft2(pre)
+    spectrum = np.fft.rfft2(pre)  # (n1, h2 + 1)
+    # eq. (11) postprocess on the half spectrum
     half = ws.acquire("dctf.half", (n1, h2 + 1), np.complex128)
     tmp = ws.acquire("dctf.tmp", (n1, h2 + 1), np.complex128)
     tmp2 = ws.acquire("dctf.tmp2", (n1, h2 + 1), np.complex128)
@@ -286,7 +264,7 @@ def dct2d_fft2_pooled(x: np.ndarray, ws) -> np.ndarray:
     np.conjugate(half[:, h2 - 1:0:-1], out=tail)
     np.multiply(w2[:, h2 + 1:], tail, out=tail2)
     np.multiply(tail2.real, 0.5, out=out[:, h2 + 1:])
-    return out
+    return out.astype(x.dtype, copy=False)
 
 
 def _idct2d_plan(n1: int, n2: int):

@@ -23,6 +23,7 @@ from repro.netlist.database import PlacementDB
 from repro.nn.function import Function
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
+from repro.obs.trace import trace_span
 from repro.ops.density_map import (
     STRATEGIES,
     build_overlap_plan,
@@ -32,7 +33,6 @@ from repro.ops.density_map import (
     scatter_plan,
 )
 from repro.ops.electrostatics import PoissonSolver
-from repro.perf.profiler import profiled
 from repro.perf.workspace import Workspace
 
 SQRT2 = float(np.sqrt(2.0))
@@ -61,7 +61,7 @@ class _DensityFunction(Function):
     capture_safe = True
 
     def forward(self, pos: np.ndarray, *, op: "ElectricDensity"):
-        with profiled("density.forward"):
+        with trace_span("density.forward"):
             n = pos.shape[0] // 2
             if op.max_participant >= n:
                 raise ValueError(
@@ -80,7 +80,7 @@ class _DensityFunction(Function):
             xl, yl = lo[:m], lo[m:]
             rho_mov = ws.zeros("den.rho", op.grid.shape, op.dtype)
             plan = None
-            with profiled("density.scatter"):
+            with trace_span("density.scatter"):
                 if op.strategy == "flat":
                     hi = ws.acquire("den.xyh", 2 * m, op.dtype)
                     np.add(lo, op.sizes, out=hi)
@@ -94,7 +94,7 @@ class _DensityFunction(Function):
                     )
             rho = ws.acquire("den.rho_total", op.grid.shape, op.dtype)
             np.add(rho_mov, op.fixed_density, out=rho)
-            with profiled("density.solve"):
+            with trace_span("density.solve"):
                 solution = op.solver.solve(rho)
             # rho consumed by the solve; reuse it for the energy product
             np.multiply(rho_mov, solution.potential, out=rho)
@@ -103,7 +103,7 @@ class _DensityFunction(Function):
             return np.asarray(energy, dtype=op.dtype)
 
     def backward(self, grad_output):
-        with profiled("density.backward"):
+        with trace_span("density.backward"):
             op, xl, yl, solution, n, plan = self.saved_values
             idx = op.participant_index
             scale = float(np.asarray(grad_output))

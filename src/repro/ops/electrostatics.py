@@ -76,7 +76,7 @@ class PoissonSolver:
             cast = self.ws.acquire("psn.rho64", rho.shape, np.float64)
             np.copyto(cast, rho)
             rho = cast
-        coeff = _dct.dct2d_fft2_pooled(rho, self.ws)
+        coeff = _dct.dct2d_fft2(rho, self.ws)
         coeff *= self._kernel
         coeff[0, 0] = 0.0
         # the three inverse transforms run as one batched irfft2

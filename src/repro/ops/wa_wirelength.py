@@ -42,7 +42,7 @@ from repro.netlist.database import PlacementDB
 from repro.nn.function import Function
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
-from repro.perf.profiler import profiled
+from repro.obs.trace import trace_span
 from repro.perf.workspace import Workspace
 
 STRATEGIES = ("net_by_net", "atomic", "merged")
@@ -247,7 +247,7 @@ class _PinWirelengthFunction(Function):
     capture_safe = True
 
     def forward(self, pos: np.ndarray, *, op):
-        with profiled("wl.forward"):
+        with trace_span("wl.forward"):
             ws = op.ws
             pos = pos.astype(op.dtype, copy=False)
             n = pos.shape[0] // 2
@@ -277,7 +277,7 @@ class _PinWirelengthFunction(Function):
             return np.asarray(total, dtype=op.dtype)
 
     def backward(self, grad_output):
-        with profiled("wl.backward"):
+        with trace_span("wl.backward"):
             op, grad = self.saved_values
             out = op.ws.acquire("wl.gout", grad.shape[0], grad.dtype)
             np.multiply(grad, np.asarray(grad_output), out=out)

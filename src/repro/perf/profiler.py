@@ -1,189 +1,108 @@
-"""Op-level profiling harness (the Fig. 9 instrumentation).
+"""Per-op breakdown of a span list (the Fig. 9 table).
 
-The paper's analysis lives on per-op runtime breakdowns (Fig. 9/10/12);
-this module provides the measurement substrate: a :class:`Profiler`
-collects per-op wall time and (optionally) tracemalloc-based allocation
-counters, and the placement kernels report into whichever profiler is
-*active* via the near-zero-overhead :func:`profiled` context manager.
+The paper's analysis lives on per-op runtime breakdowns (Fig. 9/10/12).
+Nothing here measures: the numbers are the spans :mod:`repro.obs.trace`
+recorded, folded by name.  The functions are pure, so they give the
+same answer on a live ``tracer.trace.spans``, on a slice of it (one job
+of a batch) and on a ``trace.json`` read back with ``Trace.load``::
 
-Usage::
-
-    with Profiler() as prof:
+    with Tracer() as tracer:
         DreamPlacer(db, params).run()
-    print(prof.table())
+    print(table(op_stats(tracer.trace.spans)))
 
-Ops nest (``gp.forward`` contains ``wl.forward`` ...); the table reports
-both inclusive time and *self* time (inclusive minus children), and
-shares are computed over self time so nothing is double counted.
+Spans nest (``gp.step`` contains ``wl.forward`` ...); the table reports
+both inclusive time and *self* time (inclusive minus direct children,
+recorded with each span), and shares are computed over self time so
+nothing is double counted and the total is the wall clock of the
+outermost spans.
 """
 
 from __future__ import annotations
 
-import contextlib
-import time
-import tracemalloc
-from dataclasses import dataclass, field
-
-from repro.obs.trace import active as _active_tracer
+from dataclasses import asdict, dataclass
 
 
 @dataclass
 class OpStats:
-    """Accumulated statistics for one named op."""
+    """Accumulated statistics for one span name."""
 
     calls: int = 0
     seconds: float = 0.0       # inclusive wall time
-    self_seconds: float = 0.0  # exclusive of nested profiled ops
+    self_seconds: float = 0.0  # exclusive of nested spans
     alloc_bytes: int = 0       # net allocated bytes (tracemalloc)
     peak_bytes: int = 0        # max transient allocation over one call
 
 
-@dataclass
-class _Frame:
-    name: str
-    start: float
-    child_seconds: float = 0.0
-    mem_before: int = 0
+def op_stats(spans) -> dict[str, OpStats]:
+    """Fold spans by name.  The byte counters are nonzero only for
+    spans collected under ``Tracer(trace_alloc=True)``."""
+    stats: dict[str, OpStats] = {}
+    for span in spans:
+        s = stats.get(span.name)
+        if s is None:
+            s = stats[span.name] = OpStats()
+        s.calls += 1
+        s.seconds += span.dur / 1e6
+        s.self_seconds += span.self_dur / 1e6
+        s.alloc_bytes += span.args.get("alloc_bytes", 0)
+        s.peak_bytes = max(s.peak_bytes, span.args.get("peak_bytes", 0))
+    return stats
 
 
-class Profiler:
-    """Collects per-op timing/allocation stats while active.
+def as_dict(stats: dict[str, OpStats]) -> dict[str, dict]:
+    """Machine-readable stats (the ``PROFILE`` event payload)."""
+    return {name: asdict(s) for name, s in stats.items()}
 
-    Entering the context installs the profiler as the process-wide
-    active profiler consulted by :func:`profiled`; exiting restores the
-    previous one (profilers nest).  With ``trace_alloc=True`` the
-    profiler also records tracemalloc counters per op (starting
-    tracemalloc if needed — substantially slower, meant for allocation
-    debugging, not timing).
-    """
 
-    def __init__(self, trace_alloc: bool = False):
-        self.trace_alloc = bool(trace_alloc)
-        self.stats: dict[str, OpStats] = {}
-        self._stack: list[_Frame] = []
-        self._previous: "Profiler | None" = None
-        self._started_tracemalloc = False
+#: the three mutually exclusive GP closure execution modes:
+#: ``gp.graph_build`` covers closure evaluations that recorded the
+#: objective tape (capture attempts), ``gp.replay`` the tape replays,
+#: and ``gp.eager`` plain define-by-run evaluations (tape disabled or
+#: capture-unsafe graph)
+CLOSURE_MODES = ("gp.graph_build", "gp.replay", "gp.eager")
 
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "Profiler":
-        global _ACTIVE
-        self._previous = _ACTIVE
-        _ACTIVE = self
-        if self.trace_alloc and not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._started_tracemalloc = True
-        return self
 
-    def __exit__(self, *exc) -> None:
-        global _ACTIVE
-        _ACTIVE = self._previous
-        self._previous = None
-        if self._started_tracemalloc:
-            tracemalloc.stop()
-            self._started_tracemalloc = False
+def closure_split_line(stats: dict[str, OpStats]) -> str | None:
+    """One-line eager-vs-replay summary, or None if no closure ran."""
+    parts = [
+        f"{name.removeprefix('gp.')} {stats[name].calls}x "
+        f"{stats[name].seconds:.4f}s"
+        for name in CLOSURE_MODES if name in stats
+    ]
+    return "closure split: " + ", ".join(parts) if parts else None
 
-    # ------------------------------------------------------------------
-    @contextlib.contextmanager
-    def op(self, name: str):
-        """Measure one op invocation (may nest)."""
-        frame = _Frame(name=name, start=time.perf_counter())
-        if self.trace_alloc and tracemalloc.is_tracing():
-            frame.mem_before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-        self._stack.append(frame)
-        try:
-            yield self
-        finally:
-            self._stack.pop()
-            elapsed = time.perf_counter() - frame.start
-            stats = self.stats.get(name)
-            if stats is None:
-                stats = self.stats[name] = OpStats()
-            stats.calls += 1
-            stats.seconds += elapsed
-            stats.self_seconds += elapsed - frame.child_seconds
-            if self._stack:
-                self._stack[-1].child_seconds += elapsed
-            if self.trace_alloc and tracemalloc.is_tracing():
-                current, peak = tracemalloc.get_traced_memory()
-                stats.alloc_bytes += max(current - frame.mem_before, 0)
-                stats.peak_bytes = max(
-                    stats.peak_bytes, peak - frame.mem_before
-                )
 
-    # ------------------------------------------------------------------
-    @property
-    def total_self_seconds(self) -> float:
-        return sum(s.self_seconds for s in self.stats.values())
-
-    #: the three mutually exclusive GP closure execution modes
-    CLOSURE_MODES = ("gp.graph_build", "gp.replay", "gp.eager")
-
-    def closure_split(self) -> dict[str, OpStats] | None:
-        """Stats of the GP closure modes seen, or None if none ran.
-
-        ``gp.graph_build`` covers closure evaluations that recorded the
-        objective tape (capture attempts), ``gp.replay`` the tape
-        replays, and ``gp.eager`` plain define-by-run evaluations (tape
-        disabled or capture-unsafe graph).
-        """
-        split = {m: self.stats[m] for m in self.CLOSURE_MODES
-                 if m in self.stats}
-        return split or None
-
-    def closure_split_line(self) -> str | None:
-        """One-line eager-vs-replay summary, or None if no closure ran."""
-        split = self.closure_split()
-        if split is None:
-            return None
-        parts = [
-            f"{name.removeprefix('gp.')} {s.calls}x {s.seconds:.4f}s"
-            for name, s in split.items()
-        ]
-        return "closure split: " + ", ".join(parts)
-
-    def as_dict(self) -> dict[str, dict]:
-        """Machine-readable stats (used by the benchmark harness)."""
-        return {
-            name: {
-                "calls": s.calls,
-                "seconds": s.seconds,
-                "self_seconds": s.self_seconds,
-                "alloc_bytes": s.alloc_bytes,
-                "peak_bytes": s.peak_bytes,
-            }
-            for name, s in self.stats.items()
-        }
-
-    def table(self, title: str = "per-op breakdown") -> str:
-        """A Fig.-9-style text table, sorted by self time."""
-        header = (
-            f"== {title} ==\n"
-            f"{'op':<24} {'calls':>8} {'total s':>10} {'self s':>10} "
-            f"{'share':>7}"
-        )
-        lines = [header]
-        if self.trace_alloc:
-            lines[0] += f" {'alloc':>10} {'peak':>10}"
-        if not self.stats:
-            # an all-zero table with fabricated 0.0% shares would read
-            # as "everything was free"; say what actually happened
-            lines.append("(no ops recorded)")
-            return "\n".join(lines)
-        total = self.total_self_seconds or 1.0
-        for name, s in sorted(
-            self.stats.items(), key=lambda kv: -kv[1].self_seconds
-        ):
-            row = (
-                f"{name:<24} {s.calls:>8d} {s.seconds:>10.4f} "
-                f"{s.self_seconds:>10.4f} {s.self_seconds / total:>6.1%}"
-            )
-            if self.trace_alloc:
-                row += f" {_fmt_bytes(s.alloc_bytes):>10} " \
-                       f"{_fmt_bytes(s.peak_bytes):>10}"
-            lines.append(row)
-        lines.append(f"{'total (self)':<24} {'':>8} {'':>10} {total:>10.4f}")
+def table(stats: dict[str, OpStats], title: str = "per-op breakdown") -> str:
+    """A Fig.-9-style text table, sorted by self time.  The allocation
+    columns appear when the spans carried tracemalloc counters."""
+    alloc = any(s.alloc_bytes or s.peak_bytes for s in stats.values())
+    header = (
+        f"== {title} ==\n"
+        f"{'op':<24} {'calls':>8} {'total s':>10} {'self s':>10} "
+        f"{'share':>7}"
+    )
+    lines = [header]
+    if alloc:
+        lines[0] += f" {'alloc':>10} {'peak':>10}"
+    if not stats:
+        # an all-zero table with fabricated 0.0% shares would read
+        # as "everything was free"; say what actually happened
+        lines.append("(no ops recorded)")
         return "\n".join(lines)
+    total = sum(s.self_seconds for s in stats.values()) or 1.0
+    for name, s in sorted(stats.items(), key=lambda kv: -kv[1].self_seconds):
+        row = (
+            f"{name:<24} {s.calls:>8d} {s.seconds:>10.4f} "
+            f"{s.self_seconds:>10.4f} {s.self_seconds / total:>6.1%}"
+        )
+        if alloc:
+            row += f" {_fmt_bytes(s.alloc_bytes):>10} " \
+                   f"{_fmt_bytes(s.peak_bytes):>10}"
+        lines.append(row)
+    lines.append(f"{'total (self)':<24} {'':>8} {'':>10} {total:>10.4f}")
+    lines.append("(self times add up to the wall clock of the outermost "
+                 "spans: every second is listed once)")
+    return "\n".join(lines)
 
 
 def _fmt_bytes(n: int) -> str:
@@ -195,37 +114,3 @@ def _fmt_bytes(n: int) -> str:
             return f"{value:.0f}B" if unit == "B" else f"{value:.1f}{unit}"
         value /= 1024
     return f"{value:.1f}GB"
-
-
-_ACTIVE: Profiler | None = None
-
-
-def active() -> Profiler | None:
-    """The currently installed profiler, or None."""
-    return _ACTIVE
-
-
-@contextlib.contextmanager
-def profiled(name: str):
-    """Report a region to the active profiler *and* the active tracer.
-
-    Profiled ops double as trace spans (``repro.obs``): the same
-    instrumentation point feeds the Fig.-9 table and the Chrome trace.
-    Near-free when neither a profiler nor a tracer is installed (two
-    global reads).
-    """
-    prof = _ACTIVE
-    tracer = _active_tracer()
-    if prof is None and tracer is None:
-        yield None
-        return
-    if tracer is None:
-        with prof.op(name):
-            yield prof
-        return
-    with tracer.span(name):
-        if prof is None:
-            yield None
-        else:
-            with prof.op(name):
-                yield prof

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.netlist.database import PlacementDB
+from repro.obs.trace import trace_span
 from repro.route.congestion import ace_metrics, routing_congestion
 from repro.route.grid import RoutingGrid
 from repro.route.net_decompose import decompose_net
@@ -76,64 +76,66 @@ class GlobalRouter:
 
     def route(self, x: np.ndarray | None = None,
               y: np.ndarray | None = None) -> RoutingResult:
-        start = time.perf_counter()
         db = self.db
-        grid = RoutingGrid(
-            db, self.num_tiles, self.num_layers,
-            self.tile_capacity, self.macro_blockage,
-        )
-        pin_x, pin_y = db.pin_positions(x, y)
-        tile_x, tile_y = grid.tile_of(pin_x, pin_y)
+        with trace_span("route.global", nets=db.num_nets) as span:
+            grid = RoutingGrid(
+                db, self.num_tiles, self.num_layers,
+                self.tile_capacity, self.macro_blockage,
+            )
+            pin_x, pin_y = db.pin_positions(x, y)
+            tile_x, tile_y = grid.tile_of(pin_x, pin_y)
 
-        # initial routing
-        routes: dict[int, list] = {}
-        segments: dict[int, list] = {}
-        for net in range(db.num_nets):
-            pins = db.net_pins(net)
-            segs = decompose_net(tile_x[pins], tile_y[pins])
-            if not segs:
-                continue
-            segments[net] = segs
-            used = []
-            for x1, y1, x2, y2 in segs:
-                used.extend(route_segment(grid, x1, y1, x2, y2))
-            routes[net] = used
-
-        # rip-up and reroute nets crossing overflowed edges
-        for _ in range(self.rrr_rounds):
-            over_h = grid.demand_h > grid.capacity_h
-            over_v = grid.demand_v > grid.capacity_v
-            if not over_h.any() and not over_v.any():
-                break
-            victims = [
-                net for net, used in routes.items()
-                if any(
-                    (kind == "h" and over_h[i, j])
-                    or (kind == "v" and over_v[i, j])
-                    for kind, i, j in used
-                )
-            ]
-            for net in victims:
-                rip_up(grid, routes[net])
+            # initial routing
+            routes: dict[int, list] = {}
+            segments: dict[int, list] = {}
+            for net in range(db.num_nets):
+                pins = db.net_pins(net)
+                segs = decompose_net(tile_x[pins], tile_y[pins])
+                if not segs:
+                    continue
+                segments[net] = segs
                 used = []
-                for x1, y1, x2, y2 in segments[net]:
-                    routed = None
-                    if self.use_maze:
-                        from repro.route.maze import maze_route_segment
-
-                        routed = maze_route_segment(grid, x1, y1, x2, y2)
-                    if routed is None:
-                        routed = route_segment(grid, x1, y1, x2, y2)
-                    used.extend(routed)
+                for x1, y1, x2, y2 in segs:
+                    used.extend(route_segment(grid, x1, y1, x2, y2))
                 routes[net] = used
 
-        wl_tiles = sum(len(u) for u in routes.values())
-        return RoutingResult(
-            rc=routing_congestion(grid),
-            ace=ace_metrics(grid),
-            total_overflow=grid.total_overflow(),
-            tile_ratio_map=grid.tile_ratio_map(),
-            wirelength_tiles=wl_tiles,
-            runtime=time.perf_counter() - start,
-            grid=grid,
-        )
+            # rip-up and reroute nets crossing overflowed edges
+            for _ in range(self.rrr_rounds):
+                over_h = grid.demand_h > grid.capacity_h
+                over_v = grid.demand_v > grid.capacity_v
+                if not over_h.any() and not over_v.any():
+                    break
+                victims = [
+                    net for net, used in routes.items()
+                    if any(
+                        (kind == "h" and over_h[i, j])
+                        or (kind == "v" and over_v[i, j])
+                        for kind, i, j in used
+                    )
+                ]
+                for net in victims:
+                    rip_up(grid, routes[net])
+                    used = []
+                    for x1, y1, x2, y2 in segments[net]:
+                        routed = None
+                        if self.use_maze:
+                            from repro.route.maze import maze_route_segment
+
+                            routed = maze_route_segment(grid, x1, y1, x2, y2)
+                        if routed is None:
+                            routed = route_segment(grid, x1, y1, x2, y2)
+                        used.extend(routed)
+                    routes[net] = used
+
+            wl_tiles = sum(len(u) for u in routes.values())
+            result = RoutingResult(
+                rc=routing_congestion(grid),
+                ace=ace_metrics(grid),
+                total_overflow=grid.total_overflow(),
+                tile_ratio_map=grid.tile_ratio_map(),
+                wirelength_tiles=wl_tiles,
+                runtime=0.0,  # filled from the span below
+                grid=grid,
+            )
+        result.runtime = span.seconds
+        return result

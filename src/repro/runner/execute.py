@@ -51,9 +51,9 @@ from repro.obs.recorders import (
     RUNS_TOTAL,
     IterationRecorder,
 )
-from repro.obs.trace import Trace, trace_span
+from repro.obs.trace import Trace, collect_spans, trace_span
 from repro.obs.trace import active as active_tracer
-from repro.perf import Profiler
+from repro.perf.profiler import as_dict, op_stats
 from repro.runner.cache import ResultCache
 from repro.runner.checkpoint import PlacerCheckpoint
 from repro.runner.events import EventLog, EventType
@@ -171,10 +171,8 @@ def execute_job(spec: JobSpec, store: RunStore,
             worker=worker, iteration_hook=iteration_hook,
             lease_timeout=lease_timeout, job_reg=job_reg,
         )
-        if span is not None:
-            span["job_hash"] = outcome.job_hash[:16]
-            span["status"] = outcome.status
-            span["cached"] = outcome.cached
+        span.update(job_hash=outcome.job_hash[:16], status=outcome.status,
+                    cached=outcome.cached)
         job_reg.counter(RUNS_TOTAL, help="job outcomes by final status",
                         status=outcome.status).inc()
         if (outcome.directory and not outcome.cached
@@ -333,12 +331,13 @@ def _execute_job(spec: JobSpec, store: RunStore,
 
         try:
             handle.events.emit(EventType.STAGE_START, stage="gp")
-            with (Profiler() if profile else nullcontext()) as prof:
+            with (collect_spans() if profile else nullcontext()) as spans:
                 result = DreamPlacer(db, params).run(
                     on_iteration=on_iteration, resume_state=resume_state,
                 )
-            if prof is not None:
-                handle.events.emit(EventType.PROFILE, ops=prof.as_dict())
+            if profile:
+                handle.events.emit(EventType.PROFILE,
+                                   ops=as_dict(op_stats(spans)))
         except JobTimeout as exc:
             handle.set_status(STATUS_TIMEOUT, error=str(exc),
                               attempts=attempt)

@@ -2,9 +2,9 @@
 
 Covers the unified-observability acceptance criteria:
 
-- span nesting: ``profiled`` regions report to both the Profiler and
-  the active Tracer, and child span intervals are contained in their
-  parents',
+- span nesting: every region is one ``trace_span``, timed with or
+  without a tracer, recorded once with its self time, and the
+  ``--profile`` view reads the same spans the trace exports,
 - Chrome trace-event export round-trips (``ph``/``ts``/``dur``,
   process_name metadata) and stays strict JSON,
 - Prometheus text exposition parses line-by-line (HELP/TYPE headers,
@@ -16,7 +16,7 @@ Covers the unified-observability acceptance criteria:
   (injectable clocks),
 - ``EventLog`` reopens transparently after close and stamps monotonic
   ``dt`` alongside wall-clock ``t``,
-- ``Profiler.table`` on an empty profiler and ``_fmt_bytes``.
+- the per-op ``table`` on an empty span list and ``_fmt_bytes``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ from repro.obs.recorders import (
     GP_OVERFLOW,
     GP_RECOVERIES,
 )
-from repro.perf.profiler import Profiler, _fmt_bytes, profiled
+from repro.obs.trace import collect_spans
+from repro.perf.profiler import _fmt_bytes, op_stats, table
 from repro.runner import (
     DesignRef,
     JobSpec,
@@ -63,32 +64,54 @@ from repro.runner.store import _HOSTNAME, RunLease, RunLocked
 
 
 class TestTracer:
-    def test_disabled_tracing_yields_none(self):
+    def test_span_times_without_a_tracer(self):
         assert active_tracer() is None
         with trace_span("anything", key=1) as span:
-            assert span is None
+            span["late"] = 2
+        assert span.args == {"key": 1, "late": 2}
+        assert span["late"] == 2
+        assert span.seconds > 0.0
 
     def test_spans_record_and_nest(self):
         with Tracer() as tracer:
             with trace_span("outer", design="d") as outer:
-                assert outer == {"design": "d"}
-                with trace_span("inner"):
+                assert outer.args == {"design": "d"}
+                with trace_span("inner") as inner:
                     pass
         spans = tracer.trace.spans
         assert [s.name for s in spans] == ["inner", "outer"]
-        inner, outer = spans
+        inner_rec, outer_rec = spans
+        # the handle and the record agree to the last bit
+        assert inner.seconds == inner_rec.seconds
+        assert outer.seconds == outer_rec.seconds
+        # nesting is recorded as self time, not inferred from intervals
+        assert inner_rec.self_dur == inner_rec.dur
+        assert outer_rec.self_dur == outer_rec.dur - inner_rec.dur
         # interval containment is what Perfetto renders as nesting
-        assert outer.ts <= inner.ts
-        assert inner.ts + inner.dur <= outer.ts + outer.dur + 1e-6
-        assert inner.pid == os.getpid()
-        assert inner.tid == threading.get_ident()
+        assert outer_rec.ts <= inner_rec.ts
+        assert (inner_rec.ts + inner_rec.dur
+                <= outer_rec.ts + outer_rec.dur + 1e-6)
+        assert inner_rec.pid == os.getpid()
+        assert inner_rec.tid == threading.get_ident()
+
+    def test_threads_nest_separately(self):
+        with Tracer() as tracer:
+            with trace_span("main"):
+                worker = threading.Thread(
+                    target=lambda: trace_span("side").__enter__().__exit__())
+                worker.start()
+                worker.join()
+        by_name = {s.name: s for s in tracer.trace.spans}
+        assert by_name["main"].self_dur == by_name["main"].dur
+        assert by_name["side"].tid != by_name["main"].tid
 
     def test_span_attrs_mutable_inside_region(self):
         with Tracer() as tracer:
             with trace_span("gp.iteration", iteration=3) as span:
                 span["hpwl"] = 123.0
+                span.update(status="ok")
         (span,) = tracer.trace.spans
-        assert span.args == {"iteration": 3, "hpwl": 123.0}
+        assert span.args == {"iteration": 3, "hpwl": 123.0, "status": "ok"}
 
     def test_tracers_nest_and_restore(self):
         with Tracer() as first:
@@ -100,19 +123,55 @@ class TestTracer:
         assert len(second.trace) == 1
         assert len(first.trace) == 0
 
-    def test_profiled_reports_to_both_profiler_and_tracer(self):
+    def test_table_and_trace_are_views_of_the_same_spans(self):
         with Tracer() as tracer:
-            with Profiler() as prof:
-                with profiled("wl.forward"):
-                    pass
-        assert "wl.forward" in prof.as_dict()
+            with trace_span("wl.forward"):
+                pass
         assert [s.name for s in tracer.trace.spans] == ["wl.forward"]
+        assert op_stats(tracer.trace.spans)["wl.forward"].calls == 1
 
-    def test_profiled_reports_to_tracer_without_profiler(self):
+    def test_collect_spans_with_and_without_a_tracer(self):
+        with collect_spans() as private:
+            assert active_tracer() is not None
+            with trace_span("density.forward"):
+                pass
+        assert active_tracer() is None
+        assert [s.name for s in private] == ["density.forward"]
         with Tracer() as tracer:
-            with profiled("density.forward") as prof:
-                assert prof is None
-        assert [s.name for s in tracer.trace.spans] == ["density.forward"]
+            with trace_span("earlier"):
+                pass
+            with collect_spans() as shared:
+                assert active_tracer() is tracer
+                with trace_span("density.forward"):
+                    pass
+        assert [s.name for s in shared] == ["density.forward"]
+        assert [s.name for s in tracer.trace.spans] == [
+            "earlier", "density.forward"]
+
+    def test_cascade_records_each_span_once(self):
+        """Every round/coarsen/prolong span appears once, attributed."""
+        from repro.core import DreamPlacer
+
+        db = generate(CircuitSpec(name="cascade", num_cells=300,
+                                  num_ios=8, utilization=0.6, seed=5))
+        params = PlacementParams(
+            max_global_iters=30, multilevel_levels=2,
+            multilevel_min_cells=100, legalize=False, detailed=False)
+        with Tracer() as tracer:
+            result = DreamPlacer(db, params).run()
+        assert len(result.gp_levels) == 2
+        by_name: dict = {}
+        for span in tracer.trace.spans:
+            by_name.setdefault(span.name, []).append(span)
+        for name in ("stage.gp", "gp.coarsen", "gp.prolong",
+                     "gp.level0", "gp.level1"):
+            assert len(by_name[name]) == 1, name
+        for level in (0, 1):
+            (span,) = by_name[f"gp.level{level}"]
+            assert span.args["level"] == level
+            assert {"cells", "nets", "pins", "num_levels"} <= set(span.args)
+        assert by_name["gp.coarsen"][0].args["level"] == 1
+        assert by_name["gp.prolong"][0].args["level"] == 1
 
 
 class TestChromeExport:
@@ -134,13 +193,22 @@ class TestChromeExport:
         assert event["name"] == "stage.gp"
         assert event["ts"] == 10.0 and event["dur"] == 5.0
         assert event["pid"] == 1234 and event["tid"] == 1
-        assert event["args"] == {"round": 0}
+        # the self time rides in the args so a reload keeps the nesting
+        assert event["args"] == {"round": 0, "self_us": 5.0}
 
     def test_save_and_reload(self, tmp_path):
         path = self._trace().save(str(tmp_path / "sub" / "trace.json"))
         data = json.loads(open(path).read())
         assert data["displayTimeUnit"] == "ms"
         assert len(data["traceEvents"]) == 2
+
+    def test_load_round_trip(self, tmp_path):
+        source = self._trace()
+        source.add(Span(name="gp.place", ts=11.0, dur=3.0, pid=1234,
+                        tid=1, self_dur=0.5))
+        loaded = Trace.load(source.save(str(tmp_path / "trace.json")))
+        assert loaded.spans == source.spans
+        assert loaded.process_labels == source.process_labels
 
     def test_extend_dicts_round_trip(self):
         source = self._trace()
@@ -468,10 +536,9 @@ class TestEventLog:
 
 class TestProfilerFormatting:
     def test_empty_table_says_so(self):
-        prof = Profiler()
-        table = prof.table(title="empty")
-        assert "(no ops recorded)" in table
-        assert "%" not in table.split("\n(no ops")[-1]
+        text = table(op_stats([]), title="empty")
+        assert "(no ops recorded)" in text
+        assert "%" not in text.split("\n(no ops")[-1]
 
     def test_fmt_bytes(self):
         assert _fmt_bytes(0) == "0B"

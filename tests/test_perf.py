@@ -1,4 +1,4 @@
-"""Tests for the perf subsystem: workspaces, profiler, kernel pools.
+"""Tests for the perf subsystem: workspaces, the span view, kernel pools.
 
 Covers the zero-allocation hot-loop contract: every GP kernel has one
 dataflow, which must give bit-equal results on a pooling ``Workspace``
@@ -21,7 +21,10 @@ from repro.ops.density_op import ElectricDensity
 from repro.ops.density_overflow import density_overflow, fixed_free_area
 from repro.ops.lse_wirelength import LogSumExpWirelength
 from repro.ops.wa_wirelength import STRATEGIES, WeightedAverageWirelength
-from repro.perf import NullWorkspace, Profiler, Workspace, active, profiled
+from repro.core import DreamPlacer, PlacementParams
+from repro.obs import Trace, Tracer, active_tracer, trace_span
+from repro.perf import NullWorkspace, Workspace, op_stats
+from repro.perf.profiler import as_dict, closure_split_line, table
 
 
 def random_db(seed=7, num_cells=120, num_nets=90, size=64.0):
@@ -125,59 +128,140 @@ class TestWorkspace:
 
 
 # ---------------------------------------------------------------------------
-# Profiler
+# The per-op view over spans
 # ---------------------------------------------------------------------------
-class TestProfiler:
+class TestOpStats:
     def test_records_calls_and_time(self):
-        with Profiler() as prof:
+        with Tracer() as tracer:
             for _ in range(3):
-                with profiled("op.a"):
+                with trace_span("op.a"):
                     time.sleep(0.001)
-        stats = prof.stats["op.a"]
+        stats = op_stats(tracer.trace.spans)["op.a"]
         assert stats.calls == 3
         assert stats.seconds >= 0.003
         assert stats.self_seconds == pytest.approx(stats.seconds)
 
     def test_nesting_self_time(self):
-        with Profiler() as prof:
-            with profiled("outer"):
-                with profiled("inner"):
+        with Tracer() as tracer:
+            with trace_span("outer"):
+                with trace_span("inner"):
                     time.sleep(0.002)
-        outer = prof.stats["outer"]
-        inner = prof.stats["inner"]
+        stats = op_stats(tracer.trace.spans)
+        outer, inner = stats["outer"], stats["inner"]
         assert outer.seconds >= inner.seconds
         assert outer.self_seconds == pytest.approx(
             outer.seconds - inner.seconds
         )
 
-    def test_inactive_is_noop(self):
-        assert active() is None
-        with profiled("nothing"):
-            pass  # no profiler installed: must not raise or record
+    def test_no_tracer_still_times(self):
+        assert active_tracer() is None
+        with trace_span("nothing") as span:
+            time.sleep(0.001)
+        assert span.seconds >= 0.001
 
-    def test_active_restored_on_exit(self):
-        with Profiler() as outer:
-            assert active() is outer
-            with Profiler() as inner:
-                assert active() is inner
-            assert active() is outer
-        assert active() is None
+    def test_nested_tracer_sees_only_its_own_spans(self):
+        with Tracer() as outer:
+            with trace_span("before"):
+                pass
+            with Tracer() as inner:
+                with trace_span("during"):
+                    pass
+            assert active_tracer() is outer
+        assert active_tracer() is None
+        assert set(op_stats(outer.trace.spans)) == {"before"}
+        assert set(op_stats(inner.trace.spans)) == {"during"}
 
     def test_table_and_as_dict(self):
-        with Profiler() as prof:
-            with profiled("op.x"):
-                pass
-        table = prof.table(title="breakdown")
-        assert "breakdown" in table and "op.x" in table
-        d = prof.as_dict()
+        with Tracer() as tracer:
+            with trace_span("op.x"):
+                with trace_span("gp.replay"):
+                    pass
+        stats = op_stats(tracer.trace.spans)
+        text = table(stats, title="breakdown")
+        assert "breakdown" in text and "op.x" in text
+        assert "total (self)" in text and "alloc" not in text
+        assert closure_split_line(stats).startswith(
+            "closure split: replay 1x")
+        assert closure_split_line({}) is None
+        d = as_dict(stats)
         assert d["op.x"]["calls"] == 1
+        assert set(d["op.x"]) == {"calls", "seconds", "self_seconds",
+                                  "alloc_bytes", "peak_bytes"}
 
     def test_trace_alloc_counts_bytes(self):
-        with Profiler(trace_alloc=True) as prof:
-            with profiled("alloc"):
+        with Tracer(trace_alloc=True) as tracer:
+            with trace_span("alloc"):
                 _ = np.empty(1 << 16)  # 512 KB
-        stats = prof.stats["alloc"]
-        assert stats.peak_bytes >= (1 << 16) * 8
+        assert not tracemalloc.is_tracing()
+        stats = op_stats(tracer.trace.spans)
+        # to within the few small objects the span bookkeeping frees
+        # between the two tracemalloc readings
+        assert stats["alloc"].peak_bytes >= (1 << 16) * 8 - 1024
+        assert "peak" in table(stats)
+
+
+@pytest.fixture(scope="module")
+def traced_flow():
+    """One small GP -> LG -> DP run under a tracer."""
+    from repro.benchgen import CircuitSpec, generate
+
+    db = generate(CircuitSpec(name="view", num_cells=200, num_ios=8,
+                              utilization=0.5, seed=5))
+    with Tracer(process_label="main") as tracer:
+        result = DreamPlacer(db, PlacementParams(max_global_iters=60)).run()
+    return result, tracer.trace
+
+
+class TestViewIsAPureFunction:
+    def test_same_stats_live_shipped_and_reloaded(self, traced_flow,
+                                                  tmp_path):
+        _, trace = traced_flow
+        live = op_stats(trace.spans)
+        assert {"wl.forward", "density.solve", "gp.iteration", "stage.gp",
+                "stage.lg", "lg.tetris", "stage.dp", "dp.global_swap",
+                "check.legalize"} <= set(live)
+        shipped = Trace()
+        shipped.extend_dicts(trace.as_dicts(), trace.process_labels)
+        assert op_stats(shipped.spans) == live
+        reloaded = Trace.load(trace.save(str(tmp_path / "trace.json")))
+        assert reloaded.process_labels == trace.process_labels
+        assert op_stats(reloaded.spans) == live
+        # a slice is a valid input too: self time travels with the span
+        tail = op_stats(trace.spans[len(trace.spans) // 2:])
+        assert tail["stage.dp"] == live["stage.dp"]
+
+    def test_self_time_totals_to_root_wall_clock(self, traced_flow):
+        _, trace = traced_flow
+        roots = sum(s.dur for s in trace.spans
+                    if s.name.startswith(("stage.", "check."))) / 1e6
+        total = sum(s.self_seconds for s in op_stats(trace.spans).values())
+        assert total == pytest.approx(roots, rel=1e-9)
+
+    def test_stage_times_are_the_stage_spans(self, traced_flow):
+        result, trace = traced_flow
+        (gp,) = [s for s in trace.spans if s.name == "stage.gp"]
+        (lg,) = [s for s in trace.spans if s.name == "stage.lg"]
+        (dp,) = [s for s in trace.spans if s.name == "stage.dp"]
+        times = result.times
+        assert times.legalize == lg.seconds
+        assert times.detailed == dp.seconds
+        assert times.global_place + times.global_route == gp.seconds
+
+    def test_merged_pids_do_not_nest(self):
+        # the dispatcher's span contains the worker's in wall time, but
+        # nesting was recorded per process, so nothing is subtracted
+        with Tracer() as dispatcher:
+            with trace_span("batch"):
+                with Tracer() as worker:
+                    with trace_span("job"):
+                        with trace_span("stage.gp"):
+                            pass
+        shipped = [dict(d, pid=d["pid"] + 1) for d in worker.trace.as_dicts()]
+        dispatcher.trace.extend_dicts(shipped)
+        stats = op_stats(dispatcher.trace.spans)
+        assert stats["batch"].self_seconds == stats["batch"].seconds
+        assert stats["job"].self_seconds == pytest.approx(
+            stats["job"].seconds - stats["stage.gp"].seconds)
 
 
 # ---------------------------------------------------------------------------

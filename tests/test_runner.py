@@ -364,6 +364,30 @@ class TestExecutePolicy:
         assert record.state == STATUS_FAILED
         assert list(read_events(record.events_path, type="run_failed"))
 
+    @pytest.mark.parametrize("profile", [True, False])
+    def test_profile_event(self, tmp_path, profile):
+        from repro.obs import active_tracer
+
+        store = RunStore(str(tmp_path / "store"))
+        outcome = execute_job(gp_spec(), store, db=make_db(),
+                              profile=profile)
+        assert outcome.ok
+        assert active_tracer() is None  # the private tracer is gone
+        # no one asked for a trace, so none is persisted
+        assert not os.path.exists(
+            os.path.join(outcome.directory, "trace.json"))
+        events = list(read_events(
+            store.load(outcome.job_hash[:16]).events_path, type="profile"))
+        assert len(events) == (1 if profile else 0)
+        if profile:
+            ops = events[0]["ops"]
+            assert {"wl.forward", "density.solve", "gp.step",
+                    "stage.gp"} <= set(ops)
+            for stats in ops.values():
+                assert set(stats) == {"calls", "seconds", "self_seconds",
+                                      "alloc_bytes", "peak_bytes"}
+            assert ops["wl.forward"]["calls"] >= outcome.result.iterations
+
     def test_timeout_keeps_checkpoint_not_cached(self, tmp_path,
                                                  monkeypatch):
         db = make_db()

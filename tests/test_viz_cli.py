@@ -140,6 +140,24 @@ class TestCli:
         assert code == 0
         assert "HPWL" in capsys.readouterr().out
 
+    def test_place_profile_table(self, capsys):
+        code = self.run_cli("place", "tiny1", "--scale", "1", "--profile")
+        assert code == 0
+        out = capsys.readouterr().out
+        table = out[out.index("== per-op breakdown"):out.index("HPWL")]
+        rows = {line.split()[0]: line.split() for line in
+                table.splitlines()[2:] if line[:1].isalpha()}
+        for op in ("wl.forward", "density.solve", "dp.global_swap",
+                   "stage.gp", "lg.tetris"):
+            assert op in rows, op
+        assert "closure split: " in table
+        # every second is listed once: the self column adds up to the
+        # wall clock of the outermost (stage / check) spans
+        total = float(rows["total"][-1])
+        roots = sum(float(row[2]) for op, row in rows.items()
+                    if op.startswith(("stage.", "check.")))
+        assert total == pytest.approx(roots, abs=1e-3)  # 4-decimal rows
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             self.run_cli("frobnicate")
