@@ -355,11 +355,16 @@ def main() -> None:
             "single 2-D FFT (Alg. 4) is fastest (5x) because it "
             "amortizes kernel launches.  **Measured (1 CPU core):** "
             "both fast algorithms beat 2N-point by similar factors, but "
-            "the N-point row-column form beats the single 2-D FFT — "
+            "the N-point row-column form ties (DCT) or beats (IDCT) the "
+            "single 2-D FFT — "
             "one-sided real FFTs do half the work of the full complex "
             "2-D FFT and there are no kernel launches to amortize.  "
             "This is the one place the paper's ordering inverts on this "
-            "substrate.",
+            "substrate.  ``scipy`` is not a paper row: it is the library "
+            "transform (``scipy.fft.dctn`` type 2/3 scaled to eq. (7), "
+            "run in float32) that the production Poisson solve uses; the "
+            "paper hand-wrote its transforms only because PyTorch had "
+            "no DCT.",
             ["transform", "impl", "size", "mean seconds"],
             ["transform", "impl", "size", "mean_seconds"],
             ["transform", "size", "impl"],

@@ -16,7 +16,7 @@ Public entry points:
   strategies.
 """
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 from repro.geometry import BinGrid, PlacementRegion
 from repro.netlist import CellKind, Netlist, PlacementDB

@@ -40,7 +40,7 @@ class PlacementParams:
     #: sqrt(num_movable), clamped to [16, 512] (RePlAce-style grids)
     num_bins: Optional[int] = None
     density_strategy: str = "flat"  # see repro.ops.density_map
-    dct_impl: str = "2d"  # see repro.ops.dct
+    dct_impl: str = "2d"  # see repro.ops.electrostatics.PoissonSolver
     use_fillers: bool = True
 
     # -- wirelength model ------------------------------------------------

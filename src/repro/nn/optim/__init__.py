@@ -1,9 +1,9 @@
 """Optimization engines (the third stack of Fig. 2(a)).
 
 Includes the ePlace/RePlAce Nesterov method with Lipschitz-constant line
-search (the paper's default solver) plus the stock deep-learning solvers
-compared in Table IV: Adam, SGD with momentum, RMSProp, and a nonlinear
-conjugate-gradient solver.
+search (the paper's default solver), the stock deep-learning solvers
+Table IV compares it with (Adam, SGD with momentum), and RMSProp and a
+nonlinear conjugate-gradient solver, which no benchmark compares.
 """
 
 from repro.nn.optim.optimizer import Optimizer

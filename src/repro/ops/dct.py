@@ -14,24 +14,23 @@ Three implementation families mirror the paper's Fig. 11 study:
 - ``*_2d``  : 2-D transforms via a single 2-D FFT (Algorithm 4),
 
 plus O(N^2) ``*_naive`` references used by the tests.  1-D transforms
-operate along the last axis.  The composite 2-D transforms used by the
-Poisson solver (eq. 9) are :func:`dct2d`, :func:`idct2d`,
-:func:`idxst_idct` (sine along axis 0) and :func:`idct_idxst` (sine
-along axis 1).
+operate along the last axis.  The composite 2-D transforms of eq. (9)
+are :func:`dct2d`, :func:`idct2d`, :func:`idxst_idct` (sine along
+axis 0) and :func:`idct_idxst` (sine along axis 1).
 
-Performance notes: all pre/post-processing constants (twiddle factors,
-wraparound index maps, sign vectors) are cached per transform size, so
-repeated calls on the same grid — the Poisson solver calls these every
-GP iteration — only pay for the FFT itself; and every FFT runs on real
-input (``rfft``/``rfft2``/``irfft2``) with the missing half-spectrum
-reconstructed from Hermitian symmetry, halving the transform work.
+Performance notes: the paper wrote these only because its framework had
+no DCT.  The production Poisson solve runs on ``scipy.fft``'s DCT-II,
+DCT-III and DST-III in the map's own dtype (see
+:mod:`repro.ops.electrostatics`); this module is the Fig. 11 ablation
+(the solver's "2n"/"n"/"naive" impls) and the solve's test oracle.
+Twiddles, index maps and sign vectors are cached per size, and
+every FFT runs on real input with the missing half-spectrum rebuilt
+from Hermitian symmetry.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.perf.workspace import NullWorkspace
 
 # (kind, sizes) -> precomputed twiddles / index maps / sign vectors
 _PLAN_CACHE: dict = {}
@@ -50,7 +49,6 @@ __all__ = [
     "idxst_n",
     "dct2d_fft2", "idct2d_fft2",
     "dct2d", "idct2d", "idxst_idct", "idct_idxst",
-    "idct2d_sine_batch",
 ]
 
 
@@ -210,60 +208,38 @@ def _flip_zero(x: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _dct2d_plan(n1: int, n2: int):
-    """Postprocess constants for :func:`dct2d_fft2` on an n1 x n2 grid."""
-    w1 = np.exp(-1j * np.pi * np.arange(n1)[:, None] / (2 * n1))
-    w2 = np.exp(-1j * np.pi * np.arange(n2)[None, :] / (2 * n2))
-    # wraparound flip along axis 0: row k -> (N1 - k) mod N1
-    wrap1 = np.concatenate([[0], np.arange(n1 - 1, 0, -1)])
-    return w1, np.conj(w1), w2, wrap1
-
-
-def dct2d_fft2(x: np.ndarray, ws=None) -> np.ndarray:
+def dct2d_fft2(x: np.ndarray) -> np.ndarray:
     """2-D DCT via one 2-D real FFT (Algorithm 4, 2D_DCT).
 
     The reordered input is real, so only the one-sided ``rfft2``
     spectrum is computed; output columns beyond the Nyquist column
     follow from ``T[k1, k2] = conj(T[k1, N2-k2])`` where ``T`` is the
-    axis-0-symmetrized spectrum of eq. (11).
-
-    Every intermediate lives in a ``ws`` buffer: with the Poisson
-    solver's pooled workspace the float64 result is a persistent buffer
-    valid until the next call, without one the buffers are fresh.  The
-    transform runs in float64 and is cast back to ``x.dtype``.
+    axis-0-symmetrized spectrum of eq. (11).  The transform runs in
+    float64 and is cast back to ``x.dtype``.
     """
-    ws = NullWorkspace() if ws is None else ws
     x = np.asarray(x)
     n1, n2 = x.shape
     _check_even(n1)
     _check_even(n2)
     h1, h2 = n1 // 2, n2 // 2
-    w1, w1c, w2, wrap1 = _plan(("dct2d", n1, n2), lambda: _dct2d_plan(n1, n2))
+    w1, w2, wrap1 = _plan(("dct2d", n1, n2), lambda: (
+        np.exp(-1j * np.pi * np.arange(n1)[:, None] / (2 * n1)),
+        np.exp(-1j * np.pi * np.arange(n2)[None, :] / (2 * n2)),
+        -np.arange(n1) % n1,  # wraparound flip along axis 0: k -> N1 - k
+    ))
     # eq. (10): 2-D even/odd reordering
-    pre = ws.acquire("dctf.pre", (n1, n2), np.float64)
+    pre = np.empty((n1, n2))
     pre[:h1, :h2] = x[0::2, 0::2]
     pre[h1:, :h2] = x[::-1, :][0::2, 0::2]
     pre[:h1, h2:] = x[:, ::-1][0::2, 0::2]
     pre[h1:, h2:] = x[::-1, ::-1][0::2, 0::2]
     spectrum = np.fft.rfft2(pre)  # (n1, h2 + 1)
     # eq. (11) postprocess on the half spectrum
-    half = ws.acquire("dctf.half", (n1, h2 + 1), np.complex128)
-    tmp = ws.acquire("dctf.tmp", (n1, h2 + 1), np.complex128)
-    tmp2 = ws.acquire("dctf.tmp2", (n1, h2 + 1), np.complex128)
-    # complex products go to distinct buffers: the aliased in-place
-    # multiply rounds differently above numpy's buffering threshold
-    np.take(spectrum, wrap1, axis=0, out=tmp, mode="clip")
-    np.multiply(w1c, tmp, out=tmp2)
-    np.multiply(w1, spectrum, out=half)
-    np.add(half, tmp2, out=half)
-    out = ws.acquire("dctf.out", (n1, n2), np.float64)
-    np.multiply(w2[:, :h2 + 1], half, out=tmp)
-    np.multiply(tmp.real, 0.5, out=out[:, :h2 + 1])
-    tail = tmp[:, :h2 - 1]  # consumed above; reuse for the mirror columns
-    tail2 = tmp2[:, :h2 - 1]
-    np.conjugate(half[:, h2 - 1:0:-1], out=tail)
-    np.multiply(w2[:, h2 + 1:], tail, out=tail2)
-    np.multiply(tail2.real, 0.5, out=out[:, h2 + 1:])
+    half = w1 * spectrum + np.conj(w1) * spectrum[wrap1]
+    out = np.empty((n1, n2))
+    out[:, :h2 + 1] = 0.5 * np.real(w2[:, :h2 + 1] * half)
+    out[:, h2 + 1:] = 0.5 * np.real(w2[:, h2 + 1:]
+                                    * np.conj(half[:, h2 - 1:0:-1]))
     return out.astype(x.dtype, copy=False)
 
 
@@ -296,12 +272,7 @@ def idct2d_fft2(x: np.ndarray) -> np.ndarray:
     both = _flip_zero(_flip_zero(x, 0), 1)  # x(N1-n1, N2-n2)
     row = _flip_zero(x, 0)  # x(N1-n1, n2)
     col = _flip_zero(x, 1)  # x(n1, N2-n2)
-    # the multiplicand is bound to a name so numpy cannot elide the
-    # temporary into an in-place product: the aliased complex-multiply
-    # loop rounds differently from the out-of-place one on large
-    # arrays, which would make results depend on the array size
-    z = (x - both) - 1j * (row + col)
-    pre = w12 * z
+    pre = w12 * ((x - both) - 1j * (row + col))
     h2 = n2 // 2
     hermitian = 0.5 * (pre[:, :h2 + 1] + np.conj(pre[wrap1, wrap2]))
     signal = np.fft.irfft2(hermitian, s=(n1, n2))
@@ -357,87 +328,3 @@ def idct_idxst(x: np.ndarray, impl: str = "2d") -> np.ndarray:
         lambda: np.where(np.arange(x.shape[1]) % 2 == 0, 1.0, -1.0),
     )
     return out * signs[None, :]
-
-
-def idct2d_sine_batch(xc: np.ndarray, xs0: np.ndarray, xs1: np.ndarray, ws):
-    """The Poisson solver's three inverse transforms in one batched FFT.
-
-    Returns ``(idct2d_fft2(xc), idxst_idct(xs0), idct_idxst(xs1))``
-    bit-identically: the eq. (12) preprocessing of each input runs into
-    pooled buffers with the exact arithmetic of :func:`idct2d_fft2`
-    (same operand order, in-place complex multiply being bitwise equal
-    to out-of-place), the three Hermitian half-spectra are stacked, and
-    a single ``irfft2`` over ``axes=(-2, -1)`` replaces three separate
-    inverse FFTs (batched and per-slice real inverse FFTs agree
-    bitwise).  ``ws`` is a workspace providing ``acquire``; the returned
-    arrays are its persistent buffers, valid until the next call.
-    """
-    xc = np.asarray(xc)
-    n1, n2 = xc.shape
-    _check_even(n1)
-    _check_even(n2)
-    h1, h2 = n1 // 2, n2 // 2
-    w12, wrap1, wrap2 = _plan(
-        ("idct2d", n1, n2), lambda: _idct2d_plan(n1, n2)
-    )
-    wrapflat3 = _plan(
-        ("idct2d_wrapflat3", n1, n2),
-        lambda: ((wrap1 * n2 + wrap2)[None, :, :]
-                 + (np.arange(3) * (n1 * n2)).reshape(3, 1, 1)),
-    )
-    herm = ws.acquire("dctb.herm", (3, n1, h2 + 1), np.complex128)
-    pre = ws.acquire("dctb.pre", (3, n1, n2), np.complex128)
-    stack = ws.acquire("dctb.x", (3, n1, n2), np.float64)
-    scratch = ws.acquire("dctb.scratch", (3, 3, n1, n2), np.float64)
-    # IDXST along an axis = flip-and-zero (eq. 16) + plain 2-D IDCT;
-    # the three preprocessed inputs are stacked so every eq. (12) step
-    # below is one strided dispatch instead of a per-slice Python loop
-    np.copyto(stack[0], xc)
-    x1 = stack[1]
-    x1[0, :] = 0.0
-    x1[1:, :] = xs0[:0:-1, :]
-    x2 = stack[2]
-    x2[:, 0] = 0.0
-    x2[:, 1:] = xs1[:, :0:-1]
-    both, row, col = scratch[0], scratch[1], scratch[2]
-    row[:, 0, :] = 0.0
-    row[:, 1:, :] = stack[:, :0:-1, :]
-    col[:, :, 0] = 0.0
-    col[:, :, 1:] = stack[:, :, :0:-1]
-    both[:, 0, :] = 0.0
-    both[:, :, 0] = 0.0
-    both[:, 1:, 1:] = stack[:, :0:-1, :0:-1]
-    # pre = w12 * ((x - both) - 1j * (row + col)), componentwise
-    np.subtract(stack, both, out=pre.real)
-    t = both  # consumed above; reuse as the row+col scratch
-    np.add(row, col, out=t)
-    np.negative(t, out=pre.imag)
-    # complex multiply needs w12 as the first operand AND a distinct
-    # output buffer: numpy's complex product is bitwise sensitive both
-    # to operand order and to output aliasing (the in-place loop
-    # rounds differently above the buffering threshold), and
-    # idct2d_fft2 computes w12 * pre out of place
-    prew = ws.acquire("dctb.prew", (3, n1, n2), np.complex128)
-    np.multiply(w12, pre, out=prew)
-    np.take(prew.ravel(), wrapflat3, out=herm, mode="clip")
-    np.conjugate(herm, out=herm)
-    herm += prew[:, :, :h2 + 1]
-    herm *= 0.5
-    signal = np.fft.irfft2(herm, s=(n1, n2), axes=(-2, -1))
-    out3 = ws.acquire("dctb.out", (3, n1, n2), np.float64)
-    out3[:, 0::2, 0::2] = signal[:, :h1, :h2]
-    out3[:, 1::2, 0::2] = signal[:, ::-1, :][:, :h1, :h2]
-    out3[:, 0::2, 1::2] = signal[:, :, ::-1][:, :h1, :h2]
-    out3[:, 1::2, 1::2] = signal[:, ::-1, ::-1][:, :h1, :h2]
-    out3 *= n1 * n2 / 4.0
-    signs0 = _plan(
-        ("signs", n1),
-        lambda: np.where(np.arange(n1) % 2 == 0, 1.0, -1.0),
-    )
-    signs1 = _plan(
-        ("signs", n2),
-        lambda: np.where(np.arange(n2) % 2 == 0, 1.0, -1.0),
-    )
-    out3[1] *= signs0[:, None]
-    out3[2] *= signs1[None, :]
-    return out3[0], out3[1], out3[2]

@@ -141,7 +141,8 @@ class ElectricDensity(Module):
         Density map kernel, one of
         :data:`repro.ops.density_map.STRATEGIES`.
     dct_impl:
-        DCT family for the Poisson solver, see :mod:`repro.ops.dct`.
+        Poisson solver transform, see
+        :class:`repro.ops.electrostatics.PoissonSolver`.
     workspace:
         Optional externally owned :class:`Workspace`; defaults to a
         private one.
@@ -160,7 +161,7 @@ class ElectricDensity(Module):
         self.strategy = strategy
         self.dtype = np.dtype(dtype)
         self.ws = workspace if workspace is not None else Workspace()
-        self.solver = PoissonSolver(grid, impl=dct_impl, workspace=self.ws)
+        self.solver = PoissonSolver(grid, impl=dct_impl)
         self.num_fillers = int(num_fillers)
         self.num_cells = db.num_cells
 

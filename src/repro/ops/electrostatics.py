@@ -6,6 +6,14 @@ density gradient is the electric field.  Given the charge-density map
 ``(xi_x, xi_y)`` via DCT/IDCT/IDXST routines (eq. 9), with Neumann
 boundary conditions and zero total charge enforced by dropping the DC
 coefficient (eq. 4b/4c).
+
+The production solve (``impl="2d"``) runs on ``scipy.fft``'s DCT-II,
+DCT-III and DST-III in the density map's own dtype, so a float32 run
+solves in float32: its maps stay within 5e-6 of a float64 solve,
+relative to each map's maximum magnitude.  The paper's own transforms
+(:mod:`repro.ops.dct`, Algorithms 3-4) remain the ``"n"``, ``"2n"``
+and ``"naive"`` ablations of Fig. 11 and the tests' oracle
+(:meth:`PoissonSolver._solve_sequential`).
 """
 
 from __future__ import annotations
@@ -13,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 
 from repro.geometry.bins import BinGrid
 from repro.ops import dct as _dct
-from repro.perf.workspace import NullWorkspace, Workspace
 
 
 @dataclass
@@ -34,19 +42,13 @@ class PoissonSolver:
     Frequencies are expressed per layout unit, so the returned field is
     the true spatial gradient of the potential regardless of bin aspect
     ratio.  ``impl`` selects the DCT implementation family ("2d", "n",
-    "2n", or "naive"), reproducing the Fig. 11 comparison.
-
-    The returned maps live in ``workspace`` buffers.  The default
-    :class:`NullWorkspace` hands back freshly allocated maps on every
-    call; a caller passing a pooling :class:`Workspace` (the density
-    op shares its own) gets buffers valid until the next :meth:`solve`.
+    "2n", or "naive"), reproducing the Fig. 11 comparison.  Every
+    :meth:`solve` returns freshly allocated maps.
     """
 
-    def __init__(self, grid: BinGrid, impl: str = "2d",
-                 workspace: Workspace | None = None):
+    def __init__(self, grid: BinGrid, impl: str = "2d"):
         self.grid = grid
         self.impl = impl
-        self.ws = workspace if workspace is not None else NullWorkspace()
         nx, ny = grid.nx, grid.ny
         # w_u per layout unit: basis cos(pi*u*(i+0.5)/nx) has spatial
         # frequency pi*u/(nx*bin_w) = pi*u/region_width
@@ -56,13 +58,26 @@ class PoissonSolver:
         self._wv = wv[None, :]
         denom = self._wu ** 2 + self._wv ** 2
         denom[0, 0] = 1.0  # avoid 0/0; the DC coefficient is zeroed
-        self._inv_denom = 1.0 / denom
         # 2/M per axis folds the DCT-expansion coefficients (alpha_u
         # alpha_v / M^2) together with the half-DC convention of the
         # inverse transform; see ops/dct.py
-        self._scale = (2.0 / nx) * (2.0 / ny)
-        # precombined spectral kernel: one in-place multiply per solve
-        self._kernel = self._scale * self._inv_denom
+        self._kernel = (2.0 / nx) * (2.0 / ny) / denom
+        self._kernel[0, 0] = 0.0  # zero total charge drops DC (eq. 4c)
+        self._by_dtype: dict = {}
+
+    def _constants(self, dtype):
+        """``(kernel, w_u, w_v)`` for the library solve, cast to ``dtype``."""
+        consts = self._by_dtype.get(dtype)
+        if consts is None:
+            # scipy's unnormalized DCT-II, DCT-III and DST-III are each
+            # twice eq. (7)/(8) per axis: a forward and an inverse 2-D
+            # transform carry 16x, which the kernel takes back out
+            consts = self._by_dtype[dtype] = (
+                (self._kernel / 16.0).astype(dtype),
+                self._wu.astype(dtype),
+                self._wv.astype(dtype),
+            )
+        return consts
 
     def solve(self, rho: np.ndarray) -> FieldSolution:
         """Solve ``laplacian(psi) = -rho`` and return psi and xi = -grad psi."""
@@ -72,33 +87,31 @@ class PoissonSolver:
             )
         if self.impl != "2d":
             return self._solve_sequential(rho)
-        if rho.dtype != np.float64:
-            cast = self.ws.acquire("psn.rho64", rho.shape, np.float64)
-            np.copyto(cast, rho)
-            rho = cast
-        coeff = _dct.dct2d_fft2(rho, self.ws)
-        coeff *= self._kernel
-        coeff[0, 0] = 0.0
-        # the three inverse transforms run as one batched irfft2
-        # (bit-identical to the sequential idct2d / idxst_idct /
-        # idct_idxst, see repro.ops.dct.idct2d_sine_batch), so both sine
-        # inputs must be alive at once
-        bx = self.ws.acquire("psn.bx", coeff.shape, coeff.dtype)
-        by = self.ws.acquire("psn.by", coeff.shape, coeff.dtype)
-        np.multiply(coeff, self._wu, out=bx)
-        np.multiply(coeff, self._wv, out=by)
-        psi, xi_x, xi_y = _dct.idct2d_sine_batch(coeff, bx, by, self.ws)
+        dtype = np.result_type(rho.dtype, np.float32)
+        kernel, wu, wv = self._constants(dtype)
+        coeff = fft.dctn(np.asarray(rho, dtype=dtype), type=2)
+        coeff *= kernel
+        psi = fft.dctn(coeff, type=3)
+        # IDXST of eq. (8) is DST-III on the coefficients shifted down
+        # one index (x_1 .. x_{N-1}, then 0); the shift is a slice
+        bx = np.empty_like(coeff)
+        np.multiply(coeff[1:], wu[1:], out=bx[:-1])
+        bx[-1] = 0.0
+        xi_x = fft.dct(fft.dst(bx, type=3, axis=0, overwrite_x=True),
+                       type=3, axis=1, overwrite_x=True)
+        by = np.empty_like(coeff)
+        np.multiply(coeff[:, 1:], wv[:, 1:], out=by[:, :-1])
+        by[:, -1] = 0.0
+        xi_y = fft.dct(fft.dst(by, type=3, axis=1, overwrite_x=True),
+                       type=3, axis=0, overwrite_x=True)
         return FieldSolution(potential=psi, field_x=xi_x, field_y=xi_y)
 
     def _solve_sequential(self, rho: np.ndarray) -> FieldSolution:
-        """One transform after another, for the Fig. 11 ablation impls."""
+        """The paper's transforms one after another, in float64: the
+        Fig. 11 ablation impls and the oracle for :meth:`solve`."""
         coeff = _dct.dct2d(np.asarray(rho, dtype=np.float64), impl=self.impl)
         coeff *= self._kernel
-        coeff[0, 0] = 0.0
         psi = _dct.idct2d(coeff, impl=self.impl)
-        buf = self.ws.acquire("psn.spectral", coeff.shape, coeff.dtype)
-        np.multiply(coeff, self._wu, out=buf)
-        xi_x = _dct.idxst_idct(buf, impl=self.impl)
-        np.multiply(coeff, self._wv, out=buf)
-        xi_y = _dct.idct_idxst(buf, impl=self.impl)
+        xi_x = _dct.idxst_idct(coeff * self._wu, impl=self.impl)
+        xi_y = _dct.idct_idxst(coeff * self._wv, impl=self.impl)
         return FieldSolution(potential=psi, field_x=xi_x, field_y=xi_y)

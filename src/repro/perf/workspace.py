@@ -22,7 +22,7 @@ Contract for kernels running on a workspace:
 every acquire: the degenerate pool.  Kernels have one dataflow, so a
 result that differs between the two pools is a buffer-aliasing bug
 (``tests/test_perf.py`` holds them bit-equal), and a caller that must
-keep results across calls (``PoissonSolver``'s default) gets fresh maps.
+keep results across calls gets fresh arrays.
 """
 
 from __future__ import annotations

@@ -140,3 +140,25 @@ class TestDtypeSweeps:
             Tensor(pos.astype(np.float32))
         ).item()
         assert e32 == pytest.approx(e64, rel=1e-3)
+
+    def test_poisson_solve_runs_in_map_dtype(self, grid):
+        from repro.ops.electrostatics import PoissonSolver
+
+        rho = np.random.default_rng(1).random(grid.shape, dtype=np.float32)
+        sol = PoissonSolver(grid).solve(rho)
+        for name in ("potential", "field_x", "field_y"):
+            assert getattr(sol, name).dtype == np.float32, name
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_poisson_solve_f32_close_to_f64(self, n):
+        """float32 drift budget: 5e-6 of each map's max magnitude."""
+        from repro.geometry import BinGrid, PlacementRegion
+        from repro.ops.electrostatics import PoissonSolver
+
+        solver = PoissonSolver(BinGrid(PlacementRegion(0, 0, n, n), n, n))
+        rho = np.random.default_rng(n).random((n, n))
+        s64 = solver.solve(rho)
+        s32 = solver.solve(rho.astype(np.float32))
+        for name in ("potential", "field_x", "field_y"):
+            a, b = getattr(s32, name), getattr(s64, name)
+            assert np.abs(a - b).max() <= 5e-6 * np.abs(b).max(), name
